@@ -14,6 +14,7 @@ from .model import (
     IntervalTemporalGraph,
     IntervalTimedArc,
     ModelMismatchError,
+    NodeRangeError,
     PointTemporalGraph,
     StaticDigraph,
     TemporalGraphError,

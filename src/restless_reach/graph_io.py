@@ -36,6 +36,14 @@ class ParseResult:
     input_was_sorted: bool
 
 
+def _plain_int_text(text: str) -> bool:
+    """Whether every integer ``int`` reads from ``text`` is ASCII
+    ``[+-]?[0-9]+``: on ASCII text without ``_``, ``int`` accepts nothing
+    else, while it also reads digit-group underscores and non-ASCII
+    digits such as ``١٢``."""
+    return text.isascii() and "_" not in text
+
+
 def parse_graph_ex(text: str) -> ParseResult:
     labels: dict[int, str] = {}
     kind = None
@@ -52,6 +60,8 @@ def parse_graph_ex(text: str) -> ParseResult:
                 if len(tokens) != 3:
                     raise ParseError(lineno, f"malformed label comment: {stripped!r}")
                 try:
+                    if not _plain_int_text(tokens[1]):
+                        raise ValueError
                     labels[int(tokens[1])] = tokens[2]
                 except ValueError:
                     raise ParseError(lineno, f"label id is not an integer: {tokens[1]!r}")
@@ -71,6 +81,8 @@ def parse_graph_ex(text: str) -> ParseResult:
             if len(rest) != 1:
                 raise ParseError(lineno, f"malformed header: {content!r}")
             try:
+                if not _plain_int_text(rest[0]):
+                    raise ValueError
                 n = int(rest[0])
             except ValueError:
                 raise ParseError(lineno, f"node count is not an integer: {rest[0]!r}")
@@ -78,6 +90,8 @@ def parse_graph_ex(text: str) -> ParseResult:
                 raise ParseError(lineno, "node count must be non-negative")
             continue
         try:
+            if not _plain_int_text(content):
+                raise ValueError
             values = [int(t) for t in tokens]
         except ValueError:
             raise ParseError(lineno, f"malformed arc line: {content!r}")
@@ -173,6 +187,8 @@ def parse_dimacs_cnf(text: str) -> Cnf34Formula:
             if len(tokens) != 4 or tokens[1] != "cnf":
                 raise ParseError(lineno, f"malformed problem line: {stripped!r}")
             try:
+                if not _plain_int_text(stripped):
+                    raise ValueError
                 n, m = int(tokens[2]), int(tokens[3])
             except ValueError:
                 raise ParseError(lineno, f"malformed problem line: {stripped!r}")
@@ -180,6 +196,8 @@ def parse_dimacs_cnf(text: str) -> Cnf34Formula:
         if n is None:
             raise ParseError(lineno, "clause before 'p cnf' problem line")
         try:
+            if not _plain_int_text(stripped):
+                raise ValueError
             values = [int(t) for t in stripped.split()]
         except ValueError:
             raise ParseError(lineno, f"malformed clause line: {stripped!r}")

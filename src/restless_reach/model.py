@@ -25,6 +25,10 @@ class ArcNotInGraphError(TemporalGraphError):
     """A path references a timed arc that is not part of the graph."""
 
 
+class NodeRangeError(TemporalGraphError):
+    """An arc names a node id outside ``[0, n)``."""
+
+
 class ModelMismatchError(TemporalGraphError):
     """A solver was invoked on a graph outside its delay model."""
 

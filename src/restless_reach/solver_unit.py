@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from .model import (
     ModelMismatchError,
     NodeId,
+    NodeRangeError,
     PointTemporalGraph,
     TemporalGraphError,
     TemporalPath,
@@ -85,14 +86,19 @@ def _group_by_time(arcs):
 
 def _node_max_list(g: PointTemporalGraph) -> list[int]:
     """Last activity time per node (-1 for isolated nodes): the maximum
-    arrival over all incident arcs, at either endpoint."""
-    out = [-1] * g.n
+    arrival over all incident arcs, at either endpoint.  Raises
+    ``NodeRangeError`` for an arc whose endpoint lies outside ``[0, n)``."""
+    n = g.n
+    out = [-1] * n
     for a in g.arcs:
+        u, v = a.u, a.v
+        if not (0 <= u < n and 0 <= v < n):
+            raise NodeRangeError(f"arc {a} has a node id out of range for n={n}")
         arrival = a.tau + a.delta
-        if arrival > out[a.u]:
-            out[a.u] = arrival
-        if arrival > out[a.v]:
-            out[a.v] = arrival
+        if arrival > out[u]:
+            out[u] = arrival
+        if arrival > out[v]:
+            out[v] = arrival
     return out
 
 
@@ -140,12 +146,17 @@ def solve_unit(
     """Compute every node reachable from ``s`` by a restless temporal path
     whose intermediate waits are at most ``delta_max``.
 
-    Requires uniform delay one, or all-zero delays with ``non_strict``
-    (where arrivals equal departures and the per-time arc block is
-    repeated so same-instant chains are found).  ``record_paths`` keeps
-    arrival/parent records for ``retrieve_path``; ``prune`` drops entries
-    too stale to ever extend; ``record_tables`` snapshots the trace tables
-    after each appearance time; ``debug`` enables table-size assertions.
+    Requires uniform delay one, or all-zero delays with ``non_strict``.
+    There arrivals equal departures, so same-instant chains are closed
+    by a worklist: after one full scan of the time's arc block, only arcs
+    out of nodes whose table gained a trace or a later arrival are
+    re-scanned, extending only the gained entries, until no table
+    changes.  The re-scan work per instant is O(block arcs + extensions).
+
+    ``record_paths`` keeps arrival/parent records for ``retrieve_path``;
+    ``prune`` drops entries too stale to ever extend; ``record_tables``
+    snapshots the trace tables after each appearance time; ``debug``
+    enables table-size assertions.
     """
     if not (0 <= s < g.n):
         raise ValueError(f"source {s} out of range for n={g.n}")
@@ -191,11 +202,15 @@ def solve_unit(
         sizes[s] = 1
         L[s] = [(seed, tau, seed)]
         heads = sorted({a.v for a in group})
-        repeats = len(heads) if non_strict else 1
-        for _ in range(repeats):
+        # Round one scans the whole block; non-strict rounds after it
+        # re-scan only arcs out of heads whose table gained entries.
+        block, source_tables = group, L
+        out_arcs = None
+        rescan = False
+        while True:
             staged: dict[int, list] = {}
-            for a in group:
-                entries = L[a.u]
+            for a in block:
+                entries = source_tables[a.u]
                 if not entries:
                     continue
                 v = a.v
@@ -215,10 +230,15 @@ def solve_unit(
                     else:
                         staged.setdefault(v, []).append((new_trace, arrival, None))
                     reachable[v] = True
-            for v in heads:
+            gained: dict[int, list] = {}
+            for v in staged if rescan else heads:
                 merged = L[v]
                 new = staged.get(v)
                 if new:
+                    if non_strict:
+                        # Every extension arrives at ``tau``; an entry is
+                        # gained unless its trace already held ``tau``.
+                        held = {tr for tr, sig, _ in merged if sig == tau}
                     merged = merged + new
                 cleaned = cleanup(
                     merged, tau, node_max,
@@ -232,8 +252,21 @@ def solve_unit(
                         f"table at node {v} has {len(cleaned)} entries, "
                         f"more than 2^|F_{tau}|"
                     )
+                if new and non_strict:
+                    fresh = [e for e in cleaned if e[1] == tau and e[0] not in held]
+                    if fresh:
+                        gained[v] = fresh
             if total > stats.peak_entries:
                 stats.peak_entries = total
+            if not gained:
+                break
+            if out_arcs is None:
+                out_arcs = {}
+                for a in group:
+                    out_arcs.setdefault(a.u, []).append(a)
+            block = [a for u in gained for a in out_arcs.get(u, ())]
+            source_tables = gained
+            rescan = True
         if record_tables:
             snapshot = {
                 u: [(tr, sig) for tr, sig, _ in L[u]]
@@ -285,7 +318,8 @@ def retrieve_path(
             break
         key = (pred, pred_arrival, pred_anchor)
     path = TemporalPath(arcs=tuple(reversed(arcs_reversed)))
-    assert check_restless_path(g, path, s, v, delta_max), (
-        "internal error: reconstructed path failed validation"
-    )
+    if not check_restless_path(g, path, s, v, delta_max):
+        raise TemporalGraphError(
+            f"internal error: reconstructed path to {v} failed validation"
+        )
     return path

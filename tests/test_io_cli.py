@@ -70,6 +70,34 @@ class TestParsing:
         with pytest.raises(ParseError, match="header"):
             parse_graph("digraph 2\n")
 
+    @pytest.mark.parametrize("text", [
+        "point 2\n0 1 1_0 1\n",
+        "point 2\n0 1 \u0661\u0662 1\n",
+        "point 2\n0 1 \uff11 1\n",
+        "point 1_0\n",
+        "point \u0662\n",
+        "interval 2\n0 1 2 1_0 1\n",
+        "point 2\n# label \u0661 x\n",
+    ])
+    def test_rejects_non_ascii_and_underscore_integers(self, text):
+        with pytest.raises(ParseError):
+            parse_graph(text)
+
+    def test_accepts_signed_integers_and_non_ascii_labels(self):
+        res = parse_graph_ex("point 2\n# label 1 \u00e1\n0 +1 3 1\n")
+        assert res.labels == {1: "\u00e1"}
+        assert [(a.u, a.v) for a in res.graph.arcs] == [(0, 1)]
+
+    @pytest.mark.parametrize("text", [
+        "p cnf 1_0 1\n1 0\n",
+        "p cnf \u0661 1\n1 0\n",
+        "p cnf 1 1\n1_0 0\n",
+        "p cnf 1 1\n\u0661 0\n",
+    ])
+    def test_dimacs_rejects_non_ascii_and_underscore_integers(self, text):
+        with pytest.raises(ParseError):
+            parse_dimacs_cnf(text)
+
     def test_nonstrict_header_token(self):
         g = parse_graph("point 2 nonstrict\n0 1 1 0\n")
         assert g.non_strict

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from restless_reach import (
     ModelMismatchError,
+    NodeRangeError,
     TemporalPath,
     TimeSet,
     check_restless_path,
@@ -103,6 +104,11 @@ class TestSolveGeneral:
         g = point_graph(2, [(0, 1, 2, 0)], non_strict=True)
         with pytest.raises(ModelMismatchError, match="non_strict"):
             solve_general(g, 0, 1)
+
+    @pytest.mark.parametrize("arc", [(0, 5, 1, 2), (5, 0, 1, 2), (0, -1, 1, 2), (-1, 0, 1, 2)])
+    def test_rejects_out_of_range_node_ids(self, arc):
+        with pytest.raises(NodeRangeError):
+            solve_general(point_graph(3, [arc]), 0, 1)
 
     def test_matches_oracle_on_random_instances(self):
         for seed in range(150):

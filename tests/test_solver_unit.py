@@ -1,9 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+import restless_reach.solver_unit as solver_unit
 from restless_reach import (
     ModelMismatchError,
+    NodeRangeError,
     PathRecordsError,
+    TemporalGraphError,
     TemporalPath,
     UnreachableNodeError,
     check_restless_path,
@@ -206,3 +211,45 @@ class TestNonStrict:
             for v in sorted(res.reachable_set()):
                 path = retrieve_path(res, g, 0, v, 1)
                 assert check_restless_path(g, path, 0, v, 1)
+
+    def test_worklist_extends_each_chain_arc_once(self):
+        # A same-instant chain listed in shuffled order needs one extension
+        # per arc; re-scanning the whole block per round would need O(n^2).
+        rng = random.Random(7)
+        for n in (50, 120, 300):
+            order = list(range(n))
+            rng.shuffle(order)
+            arcs = [(order[i], order[i + 1], 0, 0) for i in range(n - 1)]
+            rng.shuffle(arcs)
+            g = point_graph(n, arcs, non_strict=True)
+            res = solve_unit(g, order[0], 0, non_strict=True)
+            assert res.stats.extensions == n - 1
+            assert all(res.reachable)
+
+    def test_matches_oracle_on_dense_same_instant_graphs(self):
+        for seed in range(200):
+            n = 4 + seed % 9
+            g = gen_random_point(n, min(40, 3 * n), max_time=seed % 2, max_delay=0, seed=seed)
+            delta = seed % 2
+            want = oracle_reachable(g, 0, delta).reachable
+            for prune in (False, True):
+                res = solve_unit(g, 0, delta, non_strict=True, prune=prune,
+                                 record_paths=True, debug=True)
+                assert res.reachable == want
+                for v in sorted(res.reachable_set()):
+                    path = retrieve_path(res, g, 0, v, delta)
+                    assert check_restless_path(g, path, 0, v, delta)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("arc", [(0, 5, 1, 1), (5, 0, 1, 1), (0, -1, 1, 1), (-1, 0, 1, 1)])
+    def test_rejects_out_of_range_node_ids(self, arc):
+        with pytest.raises(NodeRangeError):
+            solve_unit(point_graph(3, [arc]), 0, 1)
+
+    def test_retrieve_path_raises_when_witness_fails_check(self, monkeypatch):
+        g = point_graph(3, [(0, 1, 1), (1, 2, 2)])
+        res = solve_unit(g, 0, 1, record_paths=True)
+        monkeypatch.setattr(solver_unit, "check_restless_path", lambda *args: False)
+        with pytest.raises(TemporalGraphError, match="failed validation"):
+            retrieve_path(res, g, 0, 2, 1)
