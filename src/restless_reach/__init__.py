@@ -2,9 +2,10 @@
 
 Library surface: a temporal-graph data model with path validity checks
 and interval-to-point expansion; interval-membership width computations;
-two reachability solvers parameterized by the vertex width (uniform delay
-one, arbitrary positive delays) with witness-path retrieval; brute-force
-oracles for testing; and generators for gadget and random instances.
+one reachability engine parameterized by the vertex width, with entry
+points for uniform delay one and for arbitrary positive delays, and
+witness-path retrieval; brute-force oracles for testing; and generators
+for gadget and random instances.
 """
 
 from .model import (
@@ -41,19 +42,16 @@ from .widths import (
     vertex_im_width,
 )
 from .solver_unit import (
+    InvariantError,
     PathRecordsError,
     ReachResult,
     SolveStats,
-    UnreachableNodeError,
-    cleanup,
-    retrieve_path,
-    solve_unit,
-)
-from .solver_general import (
     TimeSet,
+    UnreachableNodeError,
     cleanup_delay,
-    retrieve_path_general,
+    retrieve_path,
     solve_general,
+    solve_unit,
 )
 from .oracle import (
     OracleGuardError,

@@ -34,8 +34,7 @@ from .model import (
     lift_path_to_interval,
 )
 from .oracle import OracleGuardError, oracle_reachable
-from .solver_general import retrieve_path_general, solve_general
-from .solver_unit import retrieve_path, solve_unit
+from .solver_unit import retrieve_path, solve_general, solve_unit
 from .widths import arc_im_width, interval_vertex_im_width, vertex_im_width
 
 EXIT_OK = 0
@@ -68,7 +67,8 @@ def _resolve_node(token: str, n: int, labels: dict[int, str]) -> int:
 
 
 def _pick_solver(graph, args):
-    """Return (callable, retrieve, non_strict) for the requested mode."""
+    """Return (mode, non_strict) for the requested mode, where mode is
+    ``"unit"`` or ``"general"``."""
     zero = bool(graph.arcs) and all(a.delta == 0 for a in graph.arcs)
     if args.nonstrict or (args.auto_mode and zero):
         if not zero and graph.arcs:
@@ -122,41 +122,41 @@ def cmd_solve(args) -> int:
                 graph, s, args.delta,
                 record_paths=args.path, prune=args.prune, non_strict=non_strict,
             )
-            retrieve = retrieve_path
         else:
             result = solve_general(
                 graph, s, args.delta, record_paths=args.path, prune=args.prune,
             )
-            retrieve = retrieve_path_general
     except (ModelMismatchError, ValueError) as e:
         return _fail(str(e), EXIT_USAGE)
 
-    path = None
+    path = lifted = None
     if args.path and t is not None and result.reachable[t]:
-        path = retrieve(result, graph, s, t, args.delta)
+        path = retrieve_path(result, graph, s, t, args.delta)
+        if interval_input:
+            lifted = lift_path_to_interval(source_graph, path)
 
     reachable_ids = sorted(result.reachable_set())
     if args.json:
-        payload = {
-            "reachable": reachable_ids,
-            "path": [[a.u, a.v, a.tau, a.delta] for a in path.arcs] if path is not None else None,
-            "width": width,
-        }
-        print(json.dumps(payload))
+        if lifted is not None:
+            arcs = [[a.u, a.v, dep, a.delta, a.tau_start, a.tau_end]
+                    for a, dep in zip(lifted.arcs, lifted.departures)]
+        elif path is not None:
+            arcs = [[a.u, a.v, a.tau, a.delta] for a in path.arcs]
+        else:
+            arcs = None
+        print(json.dumps({"reachable": reachable_ids, "path": arcs, "width": width}))
     else:
         if t is not None:
             print("YES" if result.reachable[t] else "NO")
         else:
             print("reachable:", " ".join(str(v) for v in reachable_ids))
-        if path is not None:
-            if interval_input:
-                lifted = lift_path_to_interval(source_graph, path)
-                for arc, dep in zip(lifted.arcs, lifted.departures):
-                    print(f"{arc.u} {arc.v} dep={dep} delta={arc.delta} "
-                          f"window=[{arc.tau_start},{arc.tau_end}]")
-            else:
-                for a in path.arcs:
-                    print(f"{a.u} {a.v} {a.tau} {a.delta}")
+        if lifted is not None:
+            for arc, dep in zip(lifted.arcs, lifted.departures):
+                print(f"{arc.u} {arc.v} dep={dep} delta={arc.delta} "
+                      f"window=[{arc.tau_start},{arc.tau_end}]")
+        elif path is not None:
+            for a in path.arcs:
+                print(f"{a.u} {a.v} {a.tau} {a.delta}")
     if t is not None and not result.reachable[t]:
         return EXIT_NO
     return EXIT_OK

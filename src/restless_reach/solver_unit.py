@@ -1,23 +1,32 @@
-"""Restless reachability for point temporal graphs with uniform delay one.
+"""Restless reachability for point temporal graphs: one scan engine, two
+entry points (``solve_unit`` for uniform delay one or, with
+``non_strict``, all-zero delays; ``solve_general`` for arbitrary positive
+delays).
 
-The solver scans timed arcs in order of appearance time, maintaining per
-node the traces (active-node projections of the vertex sets) of all
-restless paths from the source, each with the latest arrival time among
-paths sharing that trace.  A per-time clean-up restricts traces to the
-currently active nodes and deduplicates, which bounds the table size by
-2^k where k is the vertex interval-membership width.
+Arcs are scanned one appearance time at a time.  Each node keeps a list
+of ``(trace, TimeSet)`` pairs sorted by trace: a trace is the sorted
+tuple of active nodes on restless paths from the source, and its time
+set holds their arrival times.  An arc departing at ``tau`` extends the
+latest arrival at most ``tau``.  A time's extensions are staged, folded
+into its heads' tables, and only those tables are cleaned: traces are
+restricted to active nodes (collapsed traces merge their time sets) and
+times no later departure can use are dropped, so under uniform delay one
+each set keeps a single arrival.  A table holds at most 2^k traces for
+vertex interval-membership width k, and is dropped once its node's last
+arc has arrived, so only the active nodes' tables stay live.
 
-Entries are ``(trace, arrival, anchor)`` triples.  The trace is a sorted
-node-id tuple.  The anchor is the trace the entry carried when it was
-first written; clean-ups shrink the live trace but never the anchor, and
-path-retrieval records are keyed by anchors so that reconstruction walks
-exact-match parent links back to the source.
+Retrieval records are keyed by anchors, the trace a time was first
+written under; clean-ups shrink traces but never anchors, so
+reconstruction walks exact-match parent links back to the source.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 
 from .model import (
     ModelMismatchError,
@@ -29,7 +38,7 @@ from .model import (
     check_restless_path,
     sorted_insert,
 )
-from .widths import ActivityBounds, activity_bounds
+from .widths import activity_bounds
 
 
 class UnreachableNodeError(TemporalGraphError):
@@ -40,9 +49,13 @@ class PathRecordsError(TemporalGraphError):
     """Path retrieval needs a solve run with ``record_paths=True``."""
 
 
+class InvariantError(TemporalGraphError, AssertionError):
+    """A ``debug=True`` table check failed (raised, so ``python -O`` keeps it)."""
+
+
 @dataclass
 class SolveStats:
-    peak_entries: int = 0
+    peak_entries: int = 0        # most (trace, TimeSet) pairs live at once
     extensions: int = 0
     time_inserts: int = 0
     merge_copies: int = 0
@@ -56,7 +69,8 @@ class ReachResult:
     trace) pair; ``parent`` maps (node, arrival, anchor) to (predecessor,
     predecessor arrival, predecessor anchor, extending arc).  ``tables``
     optionally holds, per processed appearance time, a snapshot of every
-    node's (trace, arrival) list for invariant testing.
+    node's (trace, latest arrival) list for invariant testing (a dropped
+    table's final list).
     """
 
     source: NodeId
@@ -71,16 +85,145 @@ class ReachResult:
         return {v for v, flag in enumerate(self.reachable) if flag}
 
 
+class TimeSet:
+    """Ordered set of arrival times with predecessor query, insert, merge,
+    and ordered split.
+
+    Each stored time optionally carries an anchor trace (for path
+    retrieval) and, in debug mode, a copy counter with the budget implied
+    by the size of the trace it was first inserted under: every copy is
+    triggered by that trace losing at least one node, so a time first
+    stored under a trace of size b+1 can be copied at most b times.
+    A set made with a ``first`` time starts with lists of that one entry.
+    """
+
+    __slots__ = ("times", "anchors", "copies", "budgets")
+
+    def __init__(self, first=None, anchor=None, budget: int = 0, *,
+                 anchors: bool = False, debug: bool = False):
+        empty = first is None
+        self.times: list[int] = [] if empty else [first]
+        self.anchors: list | None = ([] if empty else [anchor]) if anchors else None
+        self.copies: list[int] | None = ([] if empty else [0]) if debug else None
+        self.budgets: list[int] | None = ([] if empty else [budget]) if debug else None
+
+    def insert(self, t: int, anchor=None, budget: int = 0) -> bool:
+        """Insert ``t`` if absent (a present time keeps its anchor);
+        return whether it was inserted."""
+        i = bisect_left(self.times, t)
+        if i < len(self.times) and self.times[i] == t:
+            return False
+        self.times.insert(i, t)
+        if self.anchors is not None:
+            self.anchors.insert(i, anchor)
+        if self.copies is not None:
+            self.copies.insert(i, 0)
+            self.budgets.insert(i, budget)
+        return True
+
+    def predecessor(self, tau: int):
+        """Largest stored time at most ``tau`` with its anchor, or None."""
+        i = bisect_right(self.times, tau)
+        if i == 0:
+            return None
+        anchor = self.anchors[i - 1] if self.anchors is not None else None
+        return self.times[i - 1], anchor
+
+    def merge_from(self, other: "TimeSet", stats: SolveStats | None = None) -> None:
+        """Copy every time of ``other`` absent here, keeping its anchor.
+
+        In debug mode, raises ``InvariantError`` when a time is copied
+        more often than its budget allows.
+        """
+        for i, t in enumerate(other.times):
+            j = bisect_left(self.times, t)
+            if j < len(self.times) and self.times[j] == t:
+                continue
+            self.times.insert(j, t)
+            if self.anchors is not None:
+                self.anchors.insert(j, other.anchors[i] if other.anchors is not None else None)
+            if self.copies is not None:
+                count = other.copies[i] + 1
+                budget = other.budgets[i]
+                if count > budget:
+                    raise InvariantError(f"time {t} copied {count} times, budget {budget}")
+                self.copies.insert(j, count)
+                self.budgets.insert(j, budget)
+            if stats is not None:
+                stats.merge_copies += 1
+
+    def drop_below(self, cutoff: int) -> None:
+        """Ordered split: discard every time below ``cutoff``, copying the
+        rest into right-sized lists."""
+        i = bisect_left(self.times, cutoff)
+        if i:
+            self.times = self.times[i:]
+            if self.anchors is not None:
+                self.anchors = self.anchors[i:]
+            if self.copies is not None:
+                self.copies = self.copies[i:]
+                self.budgets = self.budgets[i:]
+
+
+def cleanup_delay(entries, tau: int, horizon: int, node_max, *, staged=(),
+                  prune: bool = False, delta_max: int = 0,
+                  stats: SolveStats | None = None, debug: bool = False):
+    """Clean one node's ``(trace, TimeSet)`` pairs at time ``tau``.
+
+    Traces shrink to the nodes active at ``tau`` (``node_max[w] >= tau``)
+    and collapsed ones merge into one survivor, an unshrunk trace where
+    there is one, so only times whose trace lost a node are copied;
+    staged ``(trace, arrival, anchor)`` extensions are inserted.  Each set then keeps its latest
+    time at most ``horizon`` and every later one: departures at
+    ``horizon`` or later never use the dropped times.  ``prune`` also
+    drops times more than ``delta_max`` before ``tau``, and empty sets.
+    Returns the pairs sorted by trace.
+    """
+    table: dict[tuple[int, ...], TimeSet] = {}
+    moved = []
+    for trace, tset in entries:
+        shrunk = tuple(w for w in trace if node_max[w] >= tau)
+        if len(shrunk) == len(trace):
+            table[trace] = tset
+        else:
+            moved.append((shrunk, tset))
+    for shrunk, tset in moved:
+        survivor = table.get(shrunk)
+        if survivor is None:
+            table[shrunk] = tset
+        else:
+            survivor.merge_from(tset, stats)
+    for trace, arrival, anchor in staged:
+        tset = table.get(trace)
+        if tset is None:
+            table[trace] = TimeSet(arrival, anchor, len(trace) - 1,
+                                   anchors=anchor is not None, debug=debug)
+            inserted = True
+        else:
+            inserted = tset.insert(arrival, anchor, len(trace) - 1)
+        if inserted and stats is not None:
+            stats.time_inserts += 1
+    floor = tau - delta_max
+    out = []
+    for trace, tset in sorted(table.items()):
+        times = tset.times
+        cut = times[0]
+        if len(times) > 1 and times[1] <= horizon:
+            cut = tset.predecessor(horizon)[0]
+        if prune and cut < floor:
+            cut = floor
+        if cut > times[0]:
+            tset.drop_below(cut)
+            if not tset.times:
+                continue
+        out.append((trace, tset))
+    return out
+
+
 def _group_by_time(arcs):
-    groups = []
-    current_tau = None
-    for a in arcs:
-        if current_tau is None or a.tau != current_tau:
-            if current_tau is not None and a.tau < current_tau:
-                raise ValueError("arcs not sorted by appearance time")
-            current_tau = a.tau
-            groups.append((a.tau, []))
-        groups[-1][1].append(a)
+    groups = [(tau, list(block)) for tau, block in groupby(arcs, key=attrgetter("tau"))]
+    if any(a[0] > b[0] for a, b in zip(groups, groups[1:])):
+        raise ValueError("arcs not sorted by appearance time")
     return groups
 
 
@@ -102,47 +245,14 @@ def _node_max_list(g: PointTemporalGraph) -> list[int]:
     return out
 
 
-def cleanup(entries, tau, bounds, *, prune: bool = False, delta_max: int = 0):
-    """Normalize one node's entry list at time ``tau``.
-
-    Drops inactive nodes from every trace, keeps exactly one entry per
-    distinct trace (the one with maximal arrival), and returns the entries
-    sorted lexicographically by trace.  With ``prune``, entries whose
-    arrival lies more than ``delta_max`` before ``tau`` are discarded
-    outright since nothing can extend them anymore.
-    """
-    if isinstance(bounds, ActivityBounds):
-        node_max = bounds.node_max
-        lookup = lambda w: node_max.get(w, -1)
-    else:
-        lookup = bounds.__getitem__
-    best: dict[tuple[int, ...], tuple[int, tuple | None]] = {}
-    for entry in entries:
-        if len(entry) == 2:
-            trace, sigma = entry
-            anchor = None
-        else:
-            trace, sigma, anchor = entry
-        if prune and tau - sigma > delta_max:
-            continue
-        shrunk = tuple(w for w in trace if lookup(w) >= tau)
-        cur = best.get(shrunk)
-        if cur is None or sigma > cur[0]:
-            best[shrunk] = (sigma, anchor)
-    return [(tr, sig, anch) for tr, (sig, anch) in sorted(best.items())]
+def _check_source(g: PointTemporalGraph, s) -> None:
+    if isinstance(s, bool) or not (0 <= s < g.n):
+        raise NodeRangeError(f"source {s!r} out of range for n={g.n}")
 
 
-def solve_unit(
-    g: PointTemporalGraph,
-    s: NodeId,
-    delta_max: int,
-    *,
-    record_paths: bool = False,
-    prune: bool = False,
-    non_strict: bool = False,
-    record_tables: bool = False,
-    debug: bool = False,
-) -> ReachResult:
+def solve_unit(g: PointTemporalGraph, s: NodeId, delta_max: int, *,
+               record_paths: bool = False, prune: bool = False, non_strict: bool = False,
+               record_tables: bool = False, debug: bool = False) -> ReachResult:
     """Compute every node reachable from ``s`` by a restless temporal path
     whose intermediate waits are at most ``delta_max``.
 
@@ -156,10 +266,11 @@ def solve_unit(
     ``record_paths`` keeps arrival/parent records for ``retrieve_path``;
     ``prune`` drops entries too stale to ever extend; ``record_tables``
     snapshots the trace tables after each appearance time; ``debug``
-    enables table-size assertions.
+    raises ``InvariantError`` when a table exceeds 2^|F_tau| traces, a
+    time set its node's timed in-degree or a time its copy budget, or a
+    set keeps a dominated time.
     """
-    if not (0 <= s < g.n):
-        raise ValueError(f"source {s} out of range for n={g.n}")
+    _check_source(g, s)
     if non_strict:
         if any(a.delta != 0 for a in g.arcs):
             raise ModelMismatchError(
@@ -171,36 +282,74 @@ def solve_unit(
             "solve_unit requires uniform delay one; use solve_general "
             "for arbitrary positive delays"
         )
+    return _scan(g, s, delta_max, record_paths=record_paths, prune=prune,
+                 non_strict=non_strict, record_tables=record_tables, debug=debug)
 
+
+def solve_general(g: PointTemporalGraph, s: NodeId, delta_max: int, *,
+                  record_paths: bool = False, prune: bool = False,
+                  debug: bool = False) -> ReachResult:
+    """Compute every node reachable from ``s`` by a restless temporal path,
+    for arbitrary positive delays.  Options as in ``solve_unit``."""
+    _check_source(g, s)
+    if any(a.delta < 1 for a in g.arcs):
+        raise ModelMismatchError(
+            "solve_general requires positive delays; zero-delay graphs "
+            "run under solve_unit with non_strict=True"
+        )
+    return _scan(g, s, delta_max, record_paths=record_paths, prune=prune,
+                 non_strict=False, record_tables=False, debug=debug)
+
+
+def _scan(g, s, delta_max, *, record_paths, prune, non_strict, record_tables, debug):
+    """The per-instant scan behind both entry points (see the module notes)."""
     node_max = _node_max_list(g)
     groups = _group_by_time(g.arcs)
-    arrive_off = 0 if non_strict else 1
 
     n = g.n
     reachable = [False] * n
     reachable[s] = True
-    L: list[list] = [[] for _ in range(n)]
+    L: list[list[tuple[tuple[int, ...], TimeSet]]] = [[] for _ in range(n)]
     arr: dict | None = {} if record_paths else None
     parent: dict | None = {} if record_paths else None
     stats = SolveStats()
     tables = [] if record_tables else None
     seed = (s,)
+    seed_set = TimeSet(0, seed if record_paths else None, 0, anchors=record_paths, debug=debug)
 
     if debug:
         bounds = activity_bounds(g)
         mins_sorted = sorted(bounds.node_min.values())
         maxs_sorted = sorted(bounds.node_max.values())
+        in_degree = Counter(a.v for a in g.arcs)
 
         def active_count(t):
-            return bisect.bisect_right(mins_sorted, t) - bisect.bisect_left(maxs_sorted, t)
+            return bisect_right(mins_sorted, t) - bisect_left(maxs_sorted, t)
 
-    sizes = [0] * n
     total = 0
+    # Nodes by last activity, latest first: once ``tau`` passes
+    # ``node_max[u]`` no arc departs from or arrives at ``u``, so its
+    # table is dropped (snapshots keep its final list).
+    retire = sorted(range(n), key=node_max.__getitem__, reverse=True)
+    final = {}
 
     for tau, group in groups:
-        total += 1 - sizes[s]
-        sizes[s] = 1
-        L[s] = [(seed, tau, seed)]
+        while retire and node_max[retire[-1]] < tau:
+            u = retire.pop()
+            if L[u]:
+                if record_tables:
+                    final[u] = [(tr, ts.times[-1]) for tr, ts in L[u]]
+                total -= len(L[u])
+                L[u] = []
+        # The source restarts at ``tau``; its earlier seed times are
+        # dominated, since every later departure is at ``tau`` or after.
+        # Nothing else enters its table: ``s`` is in every trace.
+        total += 1 - len(L[s])
+        seed_set.times[0] = tau
+        L[s] = [(seed, seed_set)]
+        # The earliest time a later scan may depart: still ``tau`` in
+        # non-strict rounds, the next instant otherwise.
+        horizon = tau if non_strict else tau + 1
         heads = sorted({a.v for a in group})
         # Round one scans the whole block; non-strict rounds after it
         # re-scan only arcs out of heads whose table gained entries.
@@ -214,46 +363,39 @@ def solve_unit(
                 if not entries:
                     continue
                 v = a.v
-                for trace, sigma, anchor in entries:
-                    if tau - sigma > delta_max or v in trace:
+                arrival = tau + a.delta
+                for trace, tset in entries:
+                    # ``tset.predecessor(tau)``, inlined on the hot path.
+                    times = tset.times
+                    i = len(times) if times[-1] <= tau else bisect_right(times, tau)
+                    if not i or tau - times[i - 1] > delta_max or v in trace:
                         continue
                     shrunk = tuple(w for w in trace if node_max[w] >= tau)
                     new_trace = sorted_insert(shrunk, v)
-                    arrival = tau + arrive_off
                     stats.extensions += 1
-                    if record_paths:
-                        staged.setdefault(v, []).append((new_trace, arrival, new_trace))
-                        key = (v, arrival, new_trace)
-                        if key not in parent:
-                            parent[key] = (a.u, sigma, anchor, a)
-                        arr[v] = (arrival, new_trace)
-                    else:
-                        staged.setdefault(v, []).append((new_trace, arrival, None))
                     reachable[v] = True
+                    staged.setdefault(v, []).append(
+                        (new_trace, arrival, new_trace if record_paths else None))
+                    if record_paths:
+                        parent.setdefault((v, arrival, new_trace),
+                                          (a.u, times[i - 1], tset.anchors[i - 1], a))
+                        arr[v] = (arrival, new_trace)
             gained: dict[int, list] = {}
             for v in staged if rescan else heads:
-                merged = L[v]
-                new = staged.get(v)
-                if new:
-                    if non_strict:
-                        # Every extension arrives at ``tau``; an entry is
-                        # gained unless its trace already held ``tau``.
-                        held = {tr for tr, sig, _ in merged if sig == tau}
-                    merged = merged + new
-                cleaned = cleanup(
-                    merged, tau, node_max,
-                    prune=prune and v != s, delta_max=delta_max,
-                )
-                L[v] = cleaned
-                total += len(cleaned) - sizes[v]
-                sizes[v] = len(cleaned)
-                if debug:
-                    assert len(cleaned) <= 1 << active_count(tau), (
-                        f"table at node {v} has {len(cleaned)} entries, "
-                        f"more than 2^|F_{tau}|"
-                    )
+                new = staged.get(v, ())
                 if new and non_strict:
-                    fresh = [e for e in cleaned if e[1] == tau and e[0] not in held]
+                    # Every extension arrives at ``tau``; an entry is
+                    # gained unless its trace already held ``tau``.
+                    held = {tr for tr, ts in L[v] if ts.times[-1] == tau}
+                cleaned = cleanup_delay(L[v], tau, horizon, node_max, staged=new, prune=prune,
+                                        delta_max=delta_max, stats=stats, debug=debug)
+                total += len(cleaned) - len(L[v])
+                L[v] = cleaned
+                if debug:
+                    _check_table(cleaned, v, tau, horizon,
+                                 1 << active_count(tau), in_degree[v] + (v == s))
+                if new and non_strict:
+                    fresh = [e for e in cleaned if e[1].times[-1] == tau and e[0] not in held]
                     if fresh:
                         gained[v] = fresh
             if total > stats.peak_entries:
@@ -268,32 +410,31 @@ def solve_unit(
             source_tables = gained
             rescan = True
         if record_tables:
-            snapshot = {
-                u: [(tr, sig) for tr, sig, _ in L[u]]
-                for u in range(n)
-                if L[u]
-            }
-            tables.append((tau, snapshot))
-
-    return ReachResult(
-        source=s,
-        reachable=reachable,
-        arr=arr,
-        parent=parent,
-        stats=stats,
-        tables=tables,
-    )
+            live = {u: [(tr, ts.times[-1]) for tr, ts in L[u]] for u in range(n) if L[u]}
+            tables.append((tau, {**final, **live}))
+    return ReachResult(s, reachable, arr, parent, stats, tables)
 
 
-def retrieve_path(
-    result: ReachResult,
-    g: PointTemporalGraph,
-    s: NodeId,
-    v: NodeId,
-    delta_max: int,
-) -> TemporalPath:
+def _check_table(cleaned, v, tau, horizon, max_entries, max_times) -> None:
+    """Debug checks on a freshly cleaned table (see ``solve_unit``); the
+    source may hold one seed time beyond its in-degree."""
+    if len(cleaned) > max_entries:
+        raise InvariantError(f"table at node {v} has {len(cleaned)} entries, "
+                             f"more than 2^|F_{tau}|")
+    for trace, tset in cleaned:
+        if len(tset.times) > max_times:
+            raise InvariantError(f"time set at node {v} has {len(tset.times)} "
+                                 f"times, more than its timed in-degree allows")
+        if bisect_right(tset.times, horizon) > 1:
+            raise InvariantError(f"trace {trace} at node {v} keeps a dominated "
+                                 f"time at or before {horizon}")
+
+
+def retrieve_path(result: ReachResult, g: PointTemporalGraph, s: NodeId, v: NodeId,
+                  delta_max: int) -> TemporalPath:
     """Reconstruct one restless path from ``s`` to ``v`` out of the
-    retrieval records, walking parent links back to the source."""
+    retrieval records of either entry point, walking parent links back
+    to the source."""
     if result.source != s:
         raise PathRecordsError(
             f"result was solved from source {result.source}, not {s}"

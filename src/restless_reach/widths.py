@@ -32,58 +32,43 @@ class ActivityBounds:
         return self.node_min[u], self.node_max[u]
 
 
+def _bounds(windows) -> ActivityBounds:
+    """Min start and max arrival per node (over in- and out-arcs) and per
+    underlying arc, from ``(u, v, start, arrival)`` arc windows."""
+    b = ActivityBounds()
+    node_min, node_max, arc_min, arc_max = b.node_min, b.node_max, b.arc_min, b.arc_max
+    for u, v, start, arrival in windows:
+        for node in (u, v):
+            if node not in node_min:
+                node_min[node] = start
+                node_max[node] = arrival
+            else:
+                if start < node_min[node]:
+                    node_min[node] = start
+                if arrival > node_max[node]:
+                    node_max[node] = arrival
+        key = (u, v)
+        if key not in arc_min:
+            arc_min[key] = start
+            arc_max[key] = arrival
+        else:
+            if start < arc_min[key]:
+                arc_min[key] = start
+            if arrival > arc_max[key]:
+                arc_max[key] = arrival
+    return b
+
+
 def activity_bounds(g: PointTemporalGraph) -> ActivityBounds:
     """One pass over the arcs, taking min appearance and max arrival per
-    node (over in- and out-arcs) and per underlying arc."""
-    b = ActivityBounds()
-    for a in g.arcs:
-        arrival = a.tau + a.delta
-        for node in (a.u, a.v):
-            if node not in b.node_min:
-                b.node_min[node] = a.tau
-                b.node_max[node] = arrival
-            else:
-                if a.tau < b.node_min[node]:
-                    b.node_min[node] = a.tau
-                if arrival > b.node_max[node]:
-                    b.node_max[node] = arrival
-        key = (a.u, a.v)
-        if key not in b.arc_min:
-            b.arc_min[key] = a.tau
-            b.arc_max[key] = arrival
-        else:
-            if a.tau < b.arc_min[key]:
-                b.arc_min[key] = a.tau
-            if arrival > b.arc_max[key]:
-                b.arc_max[key] = arrival
-    return b
+    node and per underlying arc."""
+    return _bounds((a.u, a.v, a.tau, a.tau + a.delta) for a in g.arcs)
 
 
 def interval_activity_bounds(g: IntervalTemporalGraph) -> ActivityBounds:
     """Activity windows for interval graphs: min window start, max window
     end plus delay, without expanding any interval."""
-    b = ActivityBounds()
-    for a in g.arcs:
-        arrival = a.tau_end + a.delta
-        for node in (a.u, a.v):
-            if node not in b.node_min:
-                b.node_min[node] = a.tau_start
-                b.node_max[node] = arrival
-            else:
-                if a.tau_start < b.node_min[node]:
-                    b.node_min[node] = a.tau_start
-                if arrival > b.node_max[node]:
-                    b.node_max[node] = arrival
-        key = (a.u, a.v)
-        if key not in b.arc_min:
-            b.arc_min[key] = a.tau_start
-            b.arc_max[key] = arrival
-        else:
-            if a.tau_start < b.arc_min[key]:
-                b.arc_min[key] = a.tau_start
-            if arrival > b.arc_max[key]:
-                b.arc_max[key] = arrival
-    return b
+    return _bounds((a.u, a.v, a.tau_start, a.tau_end + a.delta) for a in g.arcs)
 
 
 def active_nodes_at(bounds: ActivityBounds, tau: int) -> set[NodeId]:

@@ -32,7 +32,6 @@ from restless_reach import (
     oracle_traces,
     point_graph,
     retrieve_path,
-    retrieve_path_general,
     sat_bruteforce,
     solve_general,
     solve_unit,
@@ -72,7 +71,7 @@ def test_c1_four_node_golden():
         for _ in range(7):
             start = time.perf_counter()
             yes = solve_general(FOUR_NODE, S, 2, record_paths=True)
-            path = retrieve_path_general(yes, FOUR_NODE, S, T, 2)
+            path = retrieve_path(yes, FOUR_NODE, S, T, 2)
             no = solve_general(FOUR_NODE, S, 1)
             best = min(best, time.perf_counter() - start)
         assert yes.reachable[T]
@@ -267,17 +266,14 @@ def test_c8_path_retrieval_valid_and_linear():
     with _Criterion("C8 retrieved paths validate, lookups linear") as c:
         paths = 0
         for seed in range(200):
-            for max_delay, solver, retrieve in (
-                (1, solve_unit, retrieve_path),
-                (3, solve_general, retrieve_path_general),
-            ):
+            for max_delay, solver in ((1, solve_unit), (3, solve_general)):
                 g = gen_random_point(2 + seed % 7, seed % 18, max_time=10,
                                      max_delay=max_delay, seed=seed * 13 + max_delay)
                 delta = seed % 4
                 result = solver(g, 0, delta, record_paths=True)
                 for v in sorted(result.reachable_set()):
                     before = result.parent_lookups
-                    path = retrieve(result, g, 0, v, delta)
+                    path = retrieve_path(result, g, 0, v, delta)
                     assert check_restless_path(g, path, 0, v, delta)
                     assert result.parent_lookups - before == len(path.arcs)
                     paths += 1
@@ -297,7 +293,7 @@ def test_c8_path_retrieval_valid_and_linear():
             expanded = expand_interval_to_point(inst.graph)
             result = solve_general(expanded, inst.s, 0, record_paths=True)
             if result.reachable[inst.t]:
-                path = retrieve_path_general(result, expanded, inst.s, inst.t, 0)
+                path = retrieve_path(result, expanded, inst.s, inst.t, 0)
                 assert check_restless_path(expanded, path, inst.s, inst.t, 0)
                 paths += 1
         c.detail = f"{paths} witness paths"

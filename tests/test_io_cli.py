@@ -178,6 +178,16 @@ class TestSolveCommand:
         assert out[0] == "YES"
         assert all("window=" in line for line in out[1:])
 
+    def test_interval_json_witness_is_lifted(self, tmp_path, capsys):
+        path = tmp_path / "iv.graph"
+        path.write_text("interval 3\n0 1 2 4 1\n1 2 5 9 2\n")
+        assert main(["solve", str(path), "--source", "0", "--target", "2",
+                     "--delta", "0", "--path", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        # [u, v, departure, delta, tau_start, tau_end]; with no waiting
+        # the only witness departs at 4 and then at 5.
+        assert doc["path"] == [[0, 1, 4, 1, 2, 4], [1, 2, 5, 2, 5, 9]]
+
     def test_expansion_cap_is_guard_exit(self, tmp_path):
         path = tmp_path / "iv.graph"
         path.write_text("interval 2\n0 1 0 1000000 1\n")

@@ -94,6 +94,22 @@ class TestRestlessPathCheck:
         with pytest.raises(ArcNotInGraphError):
             check_restless_path(four_node_graph, p, S, U, 2)
 
+    def test_arc_multiplicity_checked_at_its_time(self):
+        arcs = [(0, 1, 3, 1), (0, 1, 3, 1), (1, 2, 3, 2), (2, 3, 5, 1)]
+        # Padding at other times makes the check bisect instead of counting all.
+        padded = arcs + [(3, 4, t, 1) for t in range(10, 50)]
+        repeated = path_of((0, 1, 3, 1), (0, 1, 3, 1))
+        tripled = path_of((0, 1, 3, 1), (0, 1, 3, 1), (0, 1, 3, 1))
+        absent = path_of((1, 2, 3, 1))
+        long_absent = path_of(*arcs[2:], (3, 4, 6, 1))
+        for chosen in (arcs, padded):
+            for g in (point_graph(5, chosen), point_graph(5, chosen[::-1], sort=False)):
+                assert not check_restless_path(g, repeated, 0, 1, 0)  # revisits 1
+                for bad in (tripled, absent, long_absent):
+                    with pytest.raises(ArcNotInGraphError):
+                        check_restless_path(g, bad, 0, 4, 9)
+                assert check_restless_path(g, path_of((1, 2, 3, 2), (2, 3, 5, 1)), 1, 3, 0)
+
     def test_wrong_endpoints_rejected(self, four_node_graph):
         p = path_of((S, U, 1, 1))
         assert check_restless_path(four_node_graph, p, S, U, 0)

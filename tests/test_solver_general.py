@@ -1,9 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import restless_reach
+
 from restless_reach import (
+    InvariantError,
     ModelMismatchError,
     NodeRangeError,
+    SolveStats,
+    TemporalGraphError,
     TemporalPath,
     TimeSet,
     check_restless_path,
@@ -11,7 +21,7 @@ from restless_reach import (
     gen_random_point,
     oracle_reachable,
     point_graph,
-    retrieve_path_general,
+    retrieve_path,
     solve_general,
     solve_unit,
 )
@@ -26,8 +36,11 @@ def tset(*times, debug=False, budget=3):
     return out
 
 
-def as_plain(table):
-    return {trace: list(ts.times) for trace, ts in table.items()}
+def clean(table, tau, node_max, horizon=None, **options):
+    """Clean at ``tau`` with the horizon (default ``tau``) of a non-strict round."""
+    horizon = tau if horizon is None else horizon
+    out = cleanup_delay(list(table.items()), tau, horizon, node_max, **options)
+    return {trace: list(ts.times) for trace, ts in out}
 
 
 class TestTimeSet:
@@ -62,32 +75,59 @@ class TestTimeSet:
         with pytest.raises(AssertionError):
             b.merge_from(a)
 
+    def test_debug_checks_survive_optimize_flag(self):
+        src = str(Path(restless_reach.__file__).resolve().parents[1])
+        code = (
+            "from restless_reach import InvariantError, TimeSet\n"
+            "try:\n"
+            "    TimeSet(debug=True).merge_from(TimeSet(4, debug=True))\n"
+            "except InvariantError:\n"
+            "    print(__debug__, 'raised')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["False", "raised"]
+        assert issubclass(InvariantError, TemporalGraphError)
+
     def test_anchor_kept_on_duplicate_insert(self):
         ts = TimeSet(anchors=True)
-        assert ts.insert(4, anchor=(1, 2)) == ((1, 2), True)
-        assert ts.insert(4, anchor=(9,)) == ((1, 2), False)
+        assert ts.insert(4, anchor=(1, 2)) is True
+        assert ts.insert(4, anchor=(9,)) is False
+        assert ts.anchors == [(1, 2)]
 
 
 class TestCleanupDelay:
     def test_merge_into_existing_survivor(self):
+        # 5 merges in from (0, 1), then the later 6 dominates it.
         table = {(0, 1): tset(5, 9), (0,): tset(6)}
-        cleanup_delay(table, tau=6, bounds=[10, 3])
-        assert as_plain(table) == {(0,): [5, 6, 9]}
+        assert clean(table, 6, [10, 3]) == {(0,): [6, 9]}
 
     def test_fixpoint_when_all_traces_active(self):
         table = {(0, 1): tset(5), (0,): tset(6)}
-        cleanup_delay(table, tau=6, bounds=[10, 10])
-        assert as_plain(table) == {(0, 1): [5], (0,): [6]}
+        assert clean(table, 6, [10, 10]) == {(0, 1): [5], (0,): [6]}
 
     def test_two_way_collapse_without_duplicates(self):
         table = {(0, 1): tset(5), (0, 2): tset(7, 5)}
-        cleanup_delay(table, tau=6, bounds=[10, 3, 3])
-        assert as_plain(table) == {(0,): [5, 7]}
+        assert clean(table, 6, [10, 3, 3]) == {(0,): [5, 7]}
 
     def test_prune_splits_and_removes_empty(self):
         table = {(0,): tset(1, 2, 9), (1,): tset(2)}
-        cleanup_delay(table, tau=9, bounds=[10, 10], prune=True, delta_max=3)
-        assert as_plain(table) == {(0,): [9]}
+        assert clean(table, 9, [10, 10], prune=True, delta_max=3) == {(0,): [9]}
+
+    def test_dominated_times_dropped(self):
+        # Departures at 4 or later take the latest time at most 4.
+        assert clean({(0,): tset(1, 3, 4, 8)}, 4, [10]) == {(0,): [4, 8]}
+        assert clean({(0,): tset(1, 3, 8)}, 4, [10], horizon=5) == {(0,): [3, 8]}
+        assert clean({(0,): tset(5, 8)}, 4, [10]) == {(0,): [5, 8]}
+
+    def test_staged_extensions_inserted(self):
+        stats = SolveStats()
+        out = cleanup_delay([((0,), tset(2))], 4, 4, [10, 10],
+                            staged=[((0,), 6, None), ((0,), 6, None), ((0, 1), 5, None)],
+                            stats=stats)
+        assert {trace: ts.times for trace, ts in out} == {(0,): [2, 6], (0, 1): [5]}
+        assert stats.time_inserts == 2
 
 
 class TestSolveGeneral:
@@ -99,6 +139,12 @@ class TestSolveGeneral:
         res = solve_general(four_node_graph, S, 3, debug=True)
         assert res.reachable[T]
         assert res.reachable == oracle_reachable(four_node_graph, S, 3).reachable
+
+    def test_rejects_bad_source(self, four_node_graph):
+        with pytest.raises(NodeRangeError):
+            solve_general(four_node_graph, 4, 2)
+        with pytest.raises(NodeRangeError):
+            solve_general(four_node_graph, False, 2)
 
     def test_rejects_zero_delays(self):
         g = point_graph(2, [(0, 1, 2, 0)], non_strict=True)
@@ -148,14 +194,14 @@ class TestSolveGeneral:
 class TestRetrievalGeneral:
     def test_four_node_witness_is_the_unique_path(self, four_node_graph):
         res = solve_general(four_node_graph, S, 2, record_paths=True)
-        path = retrieve_path_general(res, four_node_graph, S, T, 2)
+        path = retrieve_path(res, four_node_graph, S, T, 2)
         assert [(a.u, a.v, a.tau, a.delta) for a in path.arcs] == [
             (S, U, 1, 1), (U, V, 4, 2), (V, T, 6, 1),
         ]
 
     def test_source_is_empty_path(self, four_node_graph):
         res = solve_general(four_node_graph, S, 2, record_paths=True)
-        assert retrieve_path_general(res, four_node_graph, S, S, 2) == TemporalPath()
+        assert retrieve_path(res, four_node_graph, S, S, 2) == TemporalPath()
 
     def test_random_witnesses_validate(self):
         for seed in range(120):
@@ -164,7 +210,7 @@ class TestRetrievalGeneral:
             res = solve_general(g, 0, delta, record_paths=True, prune=(seed % 2 == 0), debug=True)
             before = res.parent_lookups
             for v in sorted(res.reachable_set()):
-                path = retrieve_path_general(res, g, 0, v, delta)
+                path = retrieve_path(res, g, 0, v, delta)
                 assert check_restless_path(g, path, 0, v, delta)
                 assert res.parent_lookups - before == len(path.arcs)
                 before = res.parent_lookups
@@ -176,7 +222,7 @@ class TestRetrievalGeneral:
                             (4, 3, 9, 1), (3, 4, 20, 1)])
         res = solve_general(g, 0, 25, record_paths=True, debug=True)
         assert res.reachable[4]
-        path = retrieve_path_general(res, g, 0, 4, 25)
+        path = retrieve_path(res, g, 0, 4, 25)
         assert check_restless_path(g, path, 0, 4, 25)
 
 
@@ -185,6 +231,25 @@ class TestStats:
         for seed in range(60):
             g = gen_random_point(2 + seed % 6, seed % 18, max_time=8, max_delay=3, seed=seed)
             solve_general(g, 0, 2, debug=True)  # debug mode asserts the bound
+
+    def test_copy_budget_holds_over_repeated_collapses(self):
+        # Arrival 101 sits under (0, 4) with budget 1 while (0, 1, 4) and
+        # (0, 2, 4) collapse onto it in turn; neither collapse copies it.
+        g = point_graph(5, [(0, 4, 1, 100), (0, 1, 2, 1), (1, 4, 3, 1),
+                            (0, 2, 4, 1), (2, 4, 5, 1), (3, 4, 7, 1)])
+        res = solve_general(g, 0, 0, debug=True)
+        assert res.reachable == oracle_reachable(g, 0, 0).reachable
+
+    def test_debug_table_checks_raise(self):
+        from restless_reach.solver_unit import _check_table
+
+        dominated = [((0,), tset(2, 3))]
+        with pytest.raises(InvariantError, match="dominated"):
+            _check_table(dominated, 0, 3, 3, max_entries=2, max_times=5)
+        with pytest.raises(InvariantError, match="in-degree"):
+            _check_table(dominated, 0, 3, 2, max_entries=2, max_times=1)
+        with pytest.raises(InvariantError, match="entries"):
+            _check_table(dominated * 3, 0, 3, 2, max_entries=2, max_times=5)
 
     def test_peak_entries_tracked(self, four_node_graph):
         res = solve_general(four_node_graph, S, 2)

@@ -10,9 +10,10 @@ from restless_reach import (
     PathRecordsError,
     TemporalGraphError,
     TemporalPath,
+    TimeSet,
     UnreachableNodeError,
     check_restless_path,
-    cleanup,
+    cleanup_delay,
     gen_ladder,
     gen_random_point,
     oracle_reachable,
@@ -25,40 +26,42 @@ from restless_reach import (
 from conftest import point_graph_strategy
 
 
-def entries(*pairs):
-    return [(trace, sigma, None) for trace, sigma in pairs]
+def table(*pairs):
+    """A node table of (trace, TimeSet) pairs, one time per trace."""
+    return [(trace, TimeSet(sigma)) for trace, sigma in pairs]
 
 
-def pairs(cleaned):
-    return [(trace, sigma) for trace, sigma, _ in cleaned]
+def as_lists(cleaned):
+    return [(trace, tset.times) for trace, tset in cleaned]
 
 
 class TestCleanup:
+    """The one clean-up under uniform delay one: horizon ``tau + 1``, at
+    which every time set keeps a single, latest arrival."""
+
     def test_dedup_keeps_max_arrival(self):
-        out = cleanup(entries(((0, 1), 5), ((0, 1), 7)), tau=6, bounds=[10, 10])
-        assert pairs(out) == [((0, 1), 7)]
+        out = cleanup_delay(table(((0, 1), 5)), 6, 7, [10, 10], staged=[((0, 1), 7, None)])
+        assert as_lists(out) == [((0, 1), [7])]
 
     def test_inactive_nodes_dropped(self):
-        out = cleanup(entries(((0, 1), 5)), tau=6, bounds=[10, 3])
-        assert pairs(out) == [((0,), 5)]
+        out = cleanup_delay(table(((0, 1), 5)), 6, 7, [10, 3])
+        assert as_lists(out) == [((0,), [5])]
 
     def test_drop_then_dedup_keeps_max(self):
-        out = cleanup(entries(((0, 1), 5), ((0,), 6)), tau=6, bounds=[10, 3])
-        assert pairs(out) == [((0,), 6)]
+        out = cleanup_delay(table(((0, 1), 5), ((0,), 6)), 6, 7, [10, 3])
+        assert as_lists(out) == [((0,), [6])]
 
     def test_output_sorted_lexicographically(self):
-        out = cleanup(
-            entries(((2,), 1), ((0, 1), 2), ((0,), 3), ((1, 2), 4)),
-            tau=0, bounds=[9, 9, 9],
+        out = cleanup_delay(
+            table(((2,), 1), ((0, 1), 2), ((0,), 3), ((1, 2), 4)), 0, 1, [9, 9, 9],
         )
-        assert pairs(out) == [((0,), 3), ((0, 1), 2), ((1, 2), 4), ((2,), 1)]
+        assert as_lists(out) == [((0,), [3]), ((0, 1), [2]), ((1, 2), [4]), ((2,), [1])]
 
     def test_prune_discards_stale_entries(self):
-        out = cleanup(
-            entries(((0,), 2), ((1,), 6)),
-            tau=9, bounds=[10, 10], prune=True, delta_max=3,
+        out = cleanup_delay(
+            table(((0,), 2), ((1,), 6)), 9, 10, [10, 10], prune=True, delta_max=3,
         )
-        assert pairs(out) == [((1,), 6)]
+        assert as_lists(out) == [((1,), [6])]
 
 
 class TestSolveUnit:
@@ -87,8 +90,11 @@ class TestSolveUnit:
             solve_unit(four_node_graph, 0, 2)
 
     def test_rejects_bad_source(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NodeRangeError):
             solve_unit(point_graph(2, [(0, 1, 0)]), 5, 0)
+        # ``True == 1`` would otherwise solve from node 1.
+        with pytest.raises(NodeRangeError):
+            solve_unit(point_graph(2, [(0, 1, 1)]), True, 1)
 
     def test_matches_oracle_on_random_instances(self):
         for seed in range(150):
@@ -104,6 +110,12 @@ class TestSolveUnit:
             plain = solve_unit(g, 0, delta)
             pruned = solve_unit(g, 0, delta, prune=True, debug=True)
             assert plain.reachable == pruned.reachable
+
+    def test_tables_dropped_after_last_activity(self):
+        # A ladder keeps a few nodes active at a time, so its live peak
+        # does not grow with its length once finished tables are dropped.
+        peaks = [solve_unit(gen_ladder(k), 0, 1).stats.peak_entries for k in (50, 200)]
+        assert peaks[0] == peaks[1] < 10
 
     @given(point_graph_strategy(delays=(1,)), st.integers(0, 4))
     def test_monotone_in_wait_bound(self, g, delta):
