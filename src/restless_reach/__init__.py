@@ -10,6 +10,7 @@ for gadget and random instances.
 
 from .model import (
     ArcNotInGraphError,
+    ArcView,
     ExpansionSizeError,
     Instance,
     IntervalTemporalGraph,
@@ -22,6 +23,7 @@ from .model import (
     TemporalPath,
     TimedArc,
     TimeOverflowError,
+    UnsortedArcsError,
     ValidationReport,
     check_restless_path,
     expand_interval_to_point,

@@ -69,7 +69,7 @@ def _resolve_node(token: str, n: int, labels: dict[int, str]) -> int:
 def _pick_solver(graph, args):
     """Return (mode, non_strict) for the requested mode, where mode is
     ``"unit"`` or ``"general"``."""
-    zero = bool(graph.arcs) and all(a.delta == 0 for a in graph.arcs)
+    zero = bool(graph.delta) and graph.delta.count(0) == len(graph.delta)
     if args.nonstrict or (args.auto_mode and zero):
         if not zero and graph.arcs:
             raise ModelMismatchError("--nonstrict requires an all-zero-delay graph")
@@ -209,13 +209,13 @@ def cmd_generate(args) -> int:
 def _check_one(graph, s, delta, descriptor) -> bool:
     truth = oracle_reachable(graph, s, delta)
     results = {}
-    zero = bool(graph.arcs) and all(a.delta == 0 for a in graph.arcs)
+    zero = bool(graph.delta) and graph.delta.count(0) == len(graph.delta)
     if zero:
         results["unit-nonstrict"] = solve_unit(graph, s, delta, non_strict=True).reachable
     else:
         if graph.uniform_delay_one or not graph.arcs:
             results["unit"] = solve_unit(graph, s, delta).reachable
-        if not graph.arcs or all(a.delta >= 1 for a in graph.arcs):
+        if not graph.delta or min(graph.delta) >= 1:
             results["general"] = solve_general(graph, s, delta).reachable
     if not results:
         raise ModelMismatchError(

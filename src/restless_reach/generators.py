@@ -215,7 +215,8 @@ def gen_ladder_shortcut(k: int) -> Instance:
     and last steps; the waiting bound is left to the caller."""
     base = gen_ladder(k)
     w = 2 * k
-    arcs = list(base.arcs) + [(0, w, 0), (w, k - 1, 2 * (k - 1))]
+    arcs = list(zip(base.u, base.v, base.tau, base.delta))
+    arcs += [(0, w, 0), (w, k - 1, 2 * (k - 1))]
     labels = ladder_labels(k)
     labels[w] = "w"
     return Instance(

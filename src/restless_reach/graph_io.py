@@ -4,8 +4,9 @@ Graph files: a header line ``point <n> [nonstrict]`` or ``interval <n>``,
 then one whitespace-separated arc per line (``u v tau delta`` for point,
 ``u v tau_start tau_end delta`` for interval).  ``#`` starts a comment;
 the convention ``# label <id> <name>`` attaches node names.  Point arcs
-need not arrive pre-sorted; the parser sorts and records whether the
-input already was.
+need not arrive pre-sorted; the parser writes them into the graph's
+int columns, stably sorts those by time, and records whether the input
+already was sorted.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .model import (
     PointTemporalGraph,
     TemporalGraphError,
     interval_graph,
-    point_graph,
+    nondecreasing,
 )
 
 
@@ -47,10 +48,16 @@ def _plain_int_text(text: str) -> bool:
 def parse_graph_ex(text: str) -> ParseResult:
     labels: dict[int, str] = {}
     kind = None
+    point = False
     n = 0
     non_strict = False
-    point_arcs: list[tuple[int, int, int, int]] = []
+    us: list[int] = []
+    vs: list[int] = []
+    taus: list[int] = []
+    deltas: list[int] = []
     interval_arcs: list[tuple[int, int, int, int, int]] = []
+    # Text that is plain as a whole is plain line by line.
+    plain = _plain_int_text(text)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -66,7 +73,7 @@ def parse_graph_ex(text: str) -> ParseResult:
                 except ValueError:
                     raise ParseError(lineno, f"label id is not an integer: {tokens[1]!r}")
             continue
-        content = stripped.split("#", 1)[0].strip()
+        content = stripped.split("#", 1)[0].strip() if "#" in stripped else stripped
         if not content:
             continue
         tokens = content.split()
@@ -74,8 +81,9 @@ def parse_graph_ex(text: str) -> ParseResult:
             if tokens[0] not in ("point", "interval"):
                 raise ParseError(lineno, f"expected 'point <n>' or 'interval <n>' header, got {content!r}")
             kind = tokens[0]
+            point = kind == "point"
             rest = tokens[1:]
-            if kind == "point" and rest[-1:] == ["nonstrict"]:
+            if point and rest[-1:] == ["nonstrict"]:
                 non_strict = True
                 rest = rest[:-1]
             if len(rest) != 1:
@@ -90,15 +98,15 @@ def parse_graph_ex(text: str) -> ParseResult:
                 raise ParseError(lineno, "node count must be non-negative")
             continue
         try:
-            if not _plain_int_text(content):
+            if not (plain or _plain_int_text(content)):
                 raise ValueError
-            values = [int(t) for t in tokens]
+            values = list(map(int, tokens))
         except ValueError:
             raise ParseError(lineno, f"malformed arc line: {content!r}")
-        expected = 4 if kind == "point" else 5
+        expected = 4 if point else 5
         if len(values) != expected:
             raise ParseError(lineno, f"expected {expected} integers, got {len(values)}")
-        if kind == "point":
+        if point:
             u, v, tau, delta = values
         else:
             u, v, tau, tau_end, delta = values
@@ -106,12 +114,15 @@ def parse_graph_ex(text: str) -> ParseResult:
             raise ParseError(lineno, f"node id out of range for n={n}")
         if tau < 0 or delta < 0:
             raise ParseError(lineno, "negative time or delay")
-        if kind == "point":
+        if point:
             if delta == 0 and not non_strict:
                 raise ParseError(lineno, "zero delay requires the 'nonstrict' header token")
             if tau + delta > MAX_TIME:
                 raise ParseError(lineno, "arrival time overflows the 64-bit range")
-            point_arcs.append((u, v, tau, delta))
+            us.append(u)
+            vs.append(v)
+            taus.append(tau)
+            deltas.append(delta)
         else:
             if delta == 0:
                 raise ParseError(lineno, "interval arcs need a positive delay")
@@ -126,12 +137,11 @@ def parse_graph_ex(text: str) -> ParseResult:
     for node in labels:
         if not (0 <= node < n):
             raise ParseError(1, f"label for node {node} out of range for n={n}")
-    if kind == "point":
-        was_sorted = all(
-            point_arcs[i][2] <= point_arcs[i + 1][2] for i in range(len(point_arcs) - 1)
-        )
+    if point:
+        was_sorted = nondecreasing(taus)
         return ParseResult(
-            graph=point_graph(n, point_arcs, non_strict=non_strict),
+            graph=PointTemporalGraph.from_columns(n, us, vs, taus, deltas, non_strict=non_strict,
+                                                  sort=not was_sorted),
             labels=labels,
             input_was_sorted=was_sorted,
         )
@@ -167,8 +177,7 @@ def serialize_graph(
         for a in g.arcs:
             lines.append(f"{a.u} {a.v} {a.tau_start} {a.tau_end} {a.delta}")
     else:
-        for a in g.arcs:
-            lines.append(f"{a.u} {a.v} {a.tau} {a.delta}")
+        lines.extend(map("{} {} {} {}".format, g.u, g.v, g.tau, g.delta))
     return "\n".join(lines) + "\n"
 
 

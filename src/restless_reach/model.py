@@ -3,15 +3,25 @@
 Nodes are dense 0-based integer ids.  Times and delays are non-negative
 integers bounded by 64 bits; an arrival time ``tau + delta`` that would
 exceed that bound is a validation error, never a silent wraparound.
-Graphs are immutable after construction and safe to share across threads.
+A point graph stores its arcs as four parallel int columns ``u``, ``v``,
+``tau`` and ``delta``, stably sorted by ``tau`` once when it is built;
+parsing, expansion, widths, the solvers and path checks read the columns.
+``TimedArc`` objects exist only at the API edge: ``g.arcs`` is a
+read-only sequence view over the columns that builds one per index or
+iteration step, and witness paths hold them.  Interval graphs keep a
+tuple of ``IntervalTimedArc``.  Graphs are immutable after construction
+and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import bisect
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter
+from functools import cached_property
+from itertools import islice, repeat
+from operator import add, eq, le
 
 MAX_TIME = 2**64 - 1
 
@@ -28,6 +38,11 @@ class ArcNotInGraphError(TemporalGraphError):
 
 class NodeRangeError(TemporalGraphError):
     """An arc or a source names a node id outside ``[0, n)`` (or a ``bool``)."""
+
+
+class UnsortedArcsError(TemporalGraphError):
+    """A point graph built with ``sort=False`` is not sorted by appearance
+    time, so it has no time groups to scan."""
 
 
 class ModelMismatchError(TemporalGraphError):
@@ -67,15 +82,164 @@ class IntervalTimedArc:
     delta: int
 
 
+_SET_U, _SET_V, _SET_TAU, _SET_DELTA = (
+    TimedArc.u.__set__, TimedArc.v.__set__, TimedArc.tau.__set__, TimedArc.delta.__set__)
+
+
+def _timed_arc(u: NodeId, v: NodeId, tau: int, delta: int) -> TimedArc:
+    """``TimedArc(u, v, tau, delta)``, built by filling its slots: the
+    frozen ``__init__`` calls ``object.__setattr__`` once per field, which
+    makes it about twice as slow, and the views build every witness arc a
+    query returns."""
+    arc = object.__new__(TimedArc)
+    _SET_U(arc, u)
+    _SET_V(arc, v)
+    _SET_TAU(arc, tau)
+    _SET_DELTA(arc, delta)
+    return arc
+
+
+class ArcView(Sequence):
+    """Read-only sequence over a point graph's columns.
+
+    ``len`` is O(1) and builds nothing; indexing and iteration build one
+    ``TimedArc`` per arc they return.  A view equals another view over the
+    same columns and any list or tuple of the same arcs in the same order.
+    """
+
+    __slots__ = ("_g",)
+
+    def __init__(self, g: PointTemporalGraph):
+        self._g = g
+
+    def __len__(self) -> int:
+        return len(self._g.tau)
+
+    def __getitem__(self, i):
+        g = self._g
+        if isinstance(i, slice):
+            return tuple(map(_timed_arc, g.u[i], g.v[i], g.tau[i], g.delta[i]))
+        return _timed_arc(g.u[i], g.v[i], g.tau[i], g.delta[i])
+
+    def __iter__(self):
+        g = self._g
+        return map(_timed_arc, g.u, g.v, g.tau, g.delta)
+
+    def take(self, indices) -> tuple[TimedArc, ...]:
+        """The arcs at ``indices``, in that order (a witness's arcs)."""
+        g = self._g
+        return tuple(map(_timed_arc, map(g.u.__getitem__, indices), map(g.v.__getitem__, indices),
+                         map(g.tau.__getitem__, indices), map(g.delta.__getitem__, indices)))
+
+    def __eq__(self, other):
+        if isinstance(other, ArcView):
+            a, b = self._g, other._g
+            return (a.u, a.v, a.tau, a.delta) == (b.u, b.v, b.tau, b.delta)
+        if isinstance(other, (tuple, list)):
+            return len(other) == len(self) and all(map(eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ArcView({list(self)!r})"
+
+
+def nondecreasing(values) -> bool:
+    """Whether ``values`` (a list or tuple) never decreases."""
+    return all(map(le, values, islice(values, 1, None)))
+
+
+def _node_windows(n: int, us, vs, starts, arrivals) -> tuple[list, list[int]]:
+    """Per node, the earliest start and the latest arrival over the arcs
+    at either endpoint: ``(node_min, node_max)``, with ``None`` and -1 for
+    isolated nodes.  Raises ``NodeRangeError`` for an endpoint outside
+    ``[0, n)``."""
+    for ends in (us, vs):
+        if ends and (min(ends) < 0 or max(ends) >= n):
+            i = next(i for i, x in enumerate(ends) if not 0 <= x < n)
+            raise NodeRangeError(f"arc {i} ({us[i]} -> {vs[i]}) has a node id "
+                                 f"out of range for n={n}")
+    node_min: list = [None] * n
+    node_max = [-1] * n
+    for ends in (us, vs):
+        for x, lo, hi in zip(ends, starts, arrivals):
+            cur = node_min[x]
+            if cur is None:
+                node_min[x] = lo
+                node_max[x] = hi
+            else:
+                if lo < cur:
+                    node_min[x] = lo
+                if hi > node_max[x]:
+                    node_max[x] = hi
+    return node_min, node_max
+
+
 @dataclass(frozen=True)
 class PointTemporalGraph:
-    """Node count plus a multiset of timed arcs sorted by non-decreasing appearance time."""
+    """Node count plus a multiset of timed arcs held as four parallel int
+    columns in non-decreasing ``tau`` order: arc ``i`` departs ``u[i]``
+    at ``tau[i]`` and reaches ``v[i]`` at ``tau[i] + delta[i]``.
+
+    Build one with ``point_graph`` or ``from_columns``.  The time groups
+    and node windows are derived once, on first use.
+    """
 
     n: int
-    arcs: tuple[TimedArc, ...]
+    u: tuple[int, ...]
+    v: tuple[int, ...]
+    tau: tuple[int, ...]
+    delta: tuple[int, ...]
     lifetime: int
     uniform_delay_one: bool
     non_strict: bool = False
+
+    @classmethod
+    def from_columns(cls, n: int, u, v, tau, delta, *, non_strict: bool = False,
+                     sort: bool = True) -> PointTemporalGraph:
+        """Build a graph from parallel columns, stably sorted by ``tau``
+        unless ``sort=False``, computing lifetime and the delay flag."""
+        if sort and not nondecreasing(tau):
+            order = sorted(range(len(tau)), key=tau.__getitem__)
+            u, v, tau, delta = ([col[i] for i in order] for col in (u, v, tau, delta))
+        delta = tuple(delta)
+        return cls(
+            n=n, u=tuple(u), v=tuple(v), tau=tuple(tau), delta=delta,
+            lifetime=max(map(add, tau, delta), default=0),
+            uniform_delay_one=bool(delta) and delta.count(1) == len(delta),
+            non_strict=non_strict,
+        )
+
+    @property
+    def arcs(self) -> ArcView:
+        return ArcView(self)
+
+    @cached_property
+    def group_starts(self) -> list[int]:
+        """Offset of the first arc of each appearance time, then the arc
+        count.  Raises ``UnsortedArcsError`` unless ``tau`` is sorted."""
+        tau = self.tau
+        if not nondecreasing(tau):
+            i = next(i for i in range(1, len(tau)) if tau[i] < tau[i - 1])
+            raise UnsortedArcsError(f"arcs not sorted by appearance time: arc {i} "
+                                    f"at {tau[i]} after {tau[i - 1]}")
+        starts = []
+        i, m = 0, len(tau)
+        while i < m:
+            starts.append(i)
+            i = bisect.bisect_right(tau, tau[i], i)
+        starts.append(m)
+        return starts
+
+    @cached_property
+    def node_windows(self) -> tuple[list, list[int]]:
+        """``(node_min, node_max)``: per node, the first departure and the
+        last arrival over its arcs (``None`` and -1 when isolated).  The
+        widths, the solvers and the path check share this one pass; it
+        raises ``NodeRangeError`` for an arc outside ``[0, n)``."""
+        return _node_windows(self.n, self.u, self.v, self.tau,
+                             list(map(add, self.tau, self.delta)))
 
 
 @dataclass(frozen=True)
@@ -148,29 +312,23 @@ def point_graph(
     """Build a point temporal graph, computing lifetime and delay flags.
 
     Arcs may be ``TimedArc`` instances or ``(u, v, tau, delta)`` tuples;
-    ``(u, v, tau)`` abbreviates delay one.  Arcs are sorted by appearance
-    time unless ``sort=False`` (useful to construct deliberately invalid
-    graphs for validation tests).
+    ``(u, v, tau)`` abbreviates delay one.  Arcs are stably sorted by
+    appearance time unless ``sort=False`` (useful to construct
+    deliberately invalid graphs for validation tests).
     """
-    normalized = []
+    us, vs, taus, deltas = [], [], [], []
     for a in arcs:
         if isinstance(a, TimedArc):
-            normalized.append(a)
-        elif len(a) == 3:
-            normalized.append(TimedArc(a[0], a[1], a[2], 1))
+            u, v, tau, delta = a.u, a.v, a.tau, a.delta
         else:
-            normalized.append(TimedArc(a[0], a[1], a[2], a[3]))
-    if sort:
-        normalized.sort(key=lambda a: a.tau)
-    lifetime = max((a.tau + a.delta for a in normalized), default=0)
-    uniform = bool(normalized) and all(a.delta == 1 for a in normalized)
-    return PointTemporalGraph(
-        n=n,
-        arcs=tuple(normalized),
-        lifetime=lifetime,
-        uniform_delay_one=uniform,
-        non_strict=non_strict,
-    )
+            u, v, tau = a[0], a[1], a[2]
+            delta = 1 if len(a) == 3 else a[3]
+        us.append(u)
+        vs.append(v)
+        taus.append(tau)
+        deltas.append(delta)
+    return PointTemporalGraph.from_columns(n, us, vs, taus, deltas,
+                                           non_strict=non_strict, sort=sort)
 
 
 def interval_graph(n: int, arcs) -> IntervalTemporalGraph:
@@ -187,23 +345,27 @@ def interval_graph(n: int, arcs) -> IntervalTemporalGraph:
 def validate_point_graph(g: PointTemporalGraph) -> ValidationReport:
     """Report every violated graph invariant; an empty report means valid."""
     report = ValidationReport()
+    if not len(g.u) == len(g.v) == len(g.tau) == len(g.delta):
+        report.add(f"column lengths differ: u {len(g.u)}, v {len(g.v)}, "
+                   f"tau {len(g.tau)}, delta {len(g.delta)}")
+        return report
     prev_tau = None
-    for i, a in enumerate(g.arcs):
-        if not (0 <= a.u < g.n and 0 <= a.v < g.n):
-            report.add(f"arc {i}: node id out of range for n={g.n}: {a}")
-        if a.tau < 0 or a.delta < 0:
-            report.add(f"arc {i}: negative time or delay: {a}")
-        if a.delta == 0 and not g.non_strict:
-            report.add(f"arc {i}: zero delay without non_strict flag: {a}")
-        if a.tau > MAX_TIME or a.tau + a.delta > MAX_TIME:
-            report.add(f"arc {i}: arrival time overflows 64-bit range: {a}")
-        if prev_tau is not None and a.tau < prev_tau:
-            report.add(f"arc {i}: not sorted by appearance time ({a.tau} after {prev_tau})")
-        prev_tau = a.tau
-    lifetime = max((a.tau + a.delta for a in g.arcs), default=0)
+    for i, (u, v, tau, delta) in enumerate(zip(g.u, g.v, g.tau, g.delta)):
+        if not (0 <= u < g.n and 0 <= v < g.n):
+            report.add(f"arc {i}: node id out of range for n={g.n}: {g.arcs[i]}")
+        if tau < 0 or delta < 0:
+            report.add(f"arc {i}: negative time or delay: {g.arcs[i]}")
+        if delta == 0 and not g.non_strict:
+            report.add(f"arc {i}: zero delay without non_strict flag: {g.arcs[i]}")
+        if tau > MAX_TIME or tau + delta > MAX_TIME:
+            report.add(f"arc {i}: arrival time overflows 64-bit range: {g.arcs[i]}")
+        if prev_tau is not None and tau < prev_tau:
+            report.add(f"arc {i}: not sorted by appearance time ({tau} after {prev_tau})")
+        prev_tau = tau
+    lifetime = max(map(add, g.tau, g.delta), default=0)
     if g.lifetime != lifetime:
         report.add(f"lifetime field {g.lifetime} inconsistent with arcs (expected {lifetime})")
-    uniform = bool(g.arcs) and all(a.delta == 1 for a in g.arcs)
+    uniform = bool(g.delta) and g.delta.count(1) == len(g.delta)
     if g.uniform_delay_one != uniform:
         report.add("uniform_delay_one flag inconsistent with arc delays")
     return report
@@ -228,7 +390,9 @@ def validate_interval_graph(g: IntervalTemporalGraph) -> ValidationReport:
 
 def underlying_graph(g: PointTemporalGraph | IntervalTemporalGraph) -> StaticDigraph:
     """Deduplicated static arc set {(u, v)} over all timed arcs."""
-    return StaticDigraph(n=g.n, arcs=frozenset((a.u, a.v) for a in g.arcs))
+    if isinstance(g, IntervalTemporalGraph):
+        return StaticDigraph(n=g.n, arcs=frozenset((a.u, a.v) for a in g.arcs))
+    return StaticDigraph(n=g.n, arcs=frozenset(zip(g.u, g.v)))
 
 
 def check_restless_path(
@@ -243,58 +407,62 @@ def check_restless_path(
 
     No waiting constraint applies before the first arc or after the last.
     Raises ``ArcNotInGraphError`` if the path uses an arc absent from the
-    graph; any other defect just yields ``False``.
+    graph, and ``NodeRangeError`` if a point graph has an arc outside
+    ``[0, n)``; any other defect just yields ``False``.
     """
     if isinstance(g, IntervalTemporalGraph):
         return _check_interval_path(g, path, s, t, delta_max)
-    _check_arc_multiplicities(g.arcs, path.arcs)
-    if not path.arcs:
+    g.node_windows  # cached once per graph; raises NodeRangeError for a bad arc
+    keys = [(a.u, a.v, a.tau, a.delta) for a in path.arcs]
+    _check_arc_multiplicities(g, keys)
+    return is_restless(keys, s, t, delta_max)
+
+
+def is_restless(keys, s: NodeId, t: NodeId, delta_max: int) -> bool:
+    """Whether the ``(u, v, tau, delta)`` rows ``keys``, in order, form a
+    simple s-to-t path whose intermediate waits lie in ``[0, delta_max]``
+    (the shape half of ``check_restless_path``; graph membership is not
+    checked)."""
+    if not keys:
         return s == t
-    if path.arcs[0].u != s or path.arcs[-1].v != t:
+    if keys[0][0] != s or keys[-1][1] != t:
         return False
-    nodes = path.nodes()
+    nodes = [s]
+    nodes.extend(key[1] for key in keys)
     if len(set(nodes)) != len(nodes):
         return False
-    for prev, nxt in zip(path.arcs, path.arcs[1:]):
-        if prev.v != nxt.u:
+    for (_, head, tau, delta), (tail, _, next_tau, _) in zip(keys, islice(keys, 1, None)):
+        if head != tail:
             return False
-        wait = nxt.tau - (prev.tau + prev.delta)
+        wait = next_tau - (tau + delta)
         if wait < 0 or wait > delta_max:
             return False
     return True
 
 
-_TAU = attrgetter("tau")
+def _check_arc_multiplicities(g: PointTemporalGraph, keys) -> None:
+    """Raise ``ArcNotInGraphError`` unless every ``(u, v, tau, delta)`` of
+    ``keys`` occurs in ``g`` at least as often as in ``keys``.
 
-
-def _check_arc_multiplicities(arcs, path_arcs) -> None:
-    """Raise ``ArcNotInGraphError`` unless every arc of the path occurs in
-    ``arcs`` at least as often as in the path.
-
-    A path with few distinct arcs (a bisection costs about as much as
-    counting eight arcs) has copies counted only in the slices of ``arcs``
-    at its times, found by bisection; a longer one, over all of ``arcs``
-    at once.  A short count from a slice is confirmed over all
-    of ``arcs`` before raising, which keeps the verdict exact for
-    unsorted graphs.
+    Copies are counted in the slice of the columns at each time, found by
+    bisecting ``tau``.  A short count is confirmed over all arcs before
+    raising, which keeps the verdict exact for unsorted graphs.
     """
-    wanted = Counter(path_arcs)
-    if len(wanted) * 8 < len(arcs):
-        by_time: dict[int, list] = {}
-        for arc, count in wanted.items():
-            by_time.setdefault(arc.tau, []).append((arc, count))
-        short = []
-        for tau, group in by_time.items():
-            lo = bisect.bisect_left(arcs, tau, key=_TAU)
-            present = Counter(arcs[lo:bisect.bisect_right(arcs, tau, lo=lo, key=_TAU)])
-            short.extend((arc, count) for arc, count in group if present[arc] < count)
-    else:
-        short = wanted.items()
+    us, vs, taus, deltas = g.u, g.v, g.tau, g.delta
+    by_time: dict[int, list] = {}
+    for arc, count in Counter(keys).items():
+        by_time.setdefault(arc[2], []).append((arc, count))
+    short = []
+    for tau, group in by_time.items():
+        lo = bisect.bisect_left(taus, tau)
+        hi = bisect.bisect_right(taus, tau, lo)
+        present = Counter(zip(us[lo:hi], vs[lo:hi], taus[lo:hi], deltas[lo:hi]))
+        short.extend((arc, count) for arc, count in group if present[arc] < count)
     if short:
-        present = Counter(arcs)
+        present = Counter(zip(us, vs, taus, deltas))
         for arc, count in short:
             if present[arc] < count:
-                raise ArcNotInGraphError(f"arc not in graph: {arc}")
+                raise ArcNotInGraphError(f"arc not in graph: {TimedArc(*arc)}")
 
 
 def _check_interval_path(g, path, s, t, delta_max):
@@ -331,8 +499,9 @@ def expand_interval_to_point(
     """Instantiate one point arc per (interval arc, offset) pair.
 
     Duplicates arising from overlapping intervals with identical
-    ``(u, v, delta)`` collapse to a single timed arc.  The expansion can
-    blow up the input size, so the total instantiated count is capped.
+    ``(u, v, delta)`` collapse to a single timed arc; arcs are ordered by
+    ``(tau, u, v, delta)``.  The expansion can blow up the input size, so
+    the total instantiated count is capped.
     """
     total = 0
     seen: set[tuple[int, int, int, int]] = set()
@@ -343,11 +512,10 @@ def expand_interval_to_point(
             raise ExpansionSizeError(
                 f"expansion exceeds cap of {cap} arcs at interval arc {a}"
             )
-        for tau in range(a.tau_start, a.tau_end + 1):
-            seen.add((a.u, a.v, tau, a.delta))
-    arcs = [TimedArc(u, v, tau, delta) for (u, v, tau, delta) in sorted(
-        seen, key=lambda x: (x[2], x[0], x[1], x[3]))]
-    return point_graph(g.n, arcs, sort=False)
+        seen.update(zip(range(a.tau_start, a.tau_end + 1),
+                        repeat(a.u), repeat(a.v), repeat(a.delta)))
+    taus, us, vs, deltas = zip(*sorted(seen)) if seen else ((), (), (), ())
+    return PointTemporalGraph.from_columns(g.n, us, vs, taus, deltas, sort=False)
 
 
 def lift_path_to_interval(
@@ -356,17 +524,18 @@ def lift_path_to_interval(
 ) -> TemporalPath:
     """Map a witness path on the expansion back to interval arcs plus departures.
 
-    Each point arc's appearance time becomes the departure time of some
-    interval arc whose appearance window contains it.
+    Each point arc's appearance time becomes the departure time of the
+    first interval arc, in graph order, with the same ``(u, v, delta)``
+    whose appearance window contains it.
     """
+    by_key: dict[tuple[int, int, int], list[IntervalTimedArc]] = {}
+    for ia in g.arcs:
+        by_key.setdefault((ia.u, ia.v, ia.delta), []).append(ia)
     arcs = []
     deps = []
     for a in path.arcs:
-        match = None
-        for ia in g.arcs:
-            if (ia.u, ia.v, ia.delta) == (a.u, a.v, a.delta) and ia.tau_start <= a.tau <= ia.tau_end:
-                match = ia
-                break
+        match = next((ia for ia in by_key.get((a.u, a.v, a.delta), ())
+                      if ia.tau_start <= a.tau <= ia.tau_end), None)
         if match is None:
             raise ArcNotInGraphError(f"no interval arc covers expanded arc {a}")
         arcs.append(match)

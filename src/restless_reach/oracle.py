@@ -145,13 +145,12 @@ def oracle_traces(
 
 
 def point_subgraph_until(g: PointTemporalGraph, tau: int) -> PointTemporalGraph:
-    """The graph restricted to arcs appearing at or before ``tau``."""
-    arcs = tuple(a for a in g.arcs if a.tau <= tau)
-    lifetime = max((a.tau + a.delta for a in arcs), default=0)
-    uniform = bool(arcs) and all(a.delta == 1 for a in arcs)
-    return PointTemporalGraph(
-        n=g.n, arcs=arcs, lifetime=lifetime,
-        uniform_delay_one=uniform, non_strict=g.non_strict,
+    """The graph restricted to arcs appearing at or before ``tau``, in
+    their order in ``g``."""
+    keep = [i for i, t in enumerate(g.tau) if t <= tau]
+    return PointTemporalGraph.from_columns(
+        g.n, *([col[i] for i in keep] for col in (g.u, g.v, g.tau, g.delta)),
+        non_strict=g.non_strict, sort=False,
     )
 
 

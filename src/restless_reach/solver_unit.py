@@ -25,8 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
+from itertools import islice
 
 from .model import (
     ModelMismatchError,
@@ -35,10 +34,9 @@ from .model import (
     PointTemporalGraph,
     TemporalGraphError,
     TemporalPath,
-    check_restless_path,
+    is_restless,
     sorted_insert,
 )
-from .widths import activity_bounds
 
 
 class UnreachableNodeError(TemporalGraphError):
@@ -67,7 +65,9 @@ class ReachResult:
 
     ``arr`` maps a node to the most recently written (arrival, anchor
     trace) pair; ``parent`` maps (node, arrival, anchor) to (predecessor,
-    predecessor arrival, predecessor anchor, extending arc).  ``tables``
+    predecessor arrival, predecessor anchor, index of the extending arc
+    in the graph's columns); ``arc_count`` is the solved graph's arc
+    count, so retrieval can refuse another graph.  ``tables``
     optionally holds, per processed appearance time, a snapshot of every
     node's (trace, latest arrival) list for invariant testing (a dropped
     table's final list).
@@ -80,6 +80,7 @@ class ReachResult:
     stats: SolveStats = field(default_factory=SolveStats)
     tables: list[tuple[int, dict[NodeId, list[tuple[tuple[int, ...], int]]]]] | None = None
     parent_lookups: int = 0
+    arc_count: int | None = None
 
     def reachable_set(self) -> set[NodeId]:
         return {v for v, flag in enumerate(self.reachable) if flag}
@@ -182,11 +183,10 @@ def cleanup_delay(entries, tau: int, horizon: int, node_max, *, staged=(),
     table: dict[tuple[int, ...], TimeSet] = {}
     moved = []
     for trace, tset in entries:
-        shrunk = tuple(w for w in trace if node_max[w] >= tau)
-        if len(shrunk) == len(trace):
+        if min(map(node_max.__getitem__, trace)) >= tau:
             table[trace] = tset
         else:
-            moved.append((shrunk, tset))
+            moved.append((tuple(w for w in trace if node_max[w] >= tau), tset))
     for shrunk, tset in moved:
         survivor = table.get(shrunk)
         if survivor is None:
@@ -220,31 +220,6 @@ def cleanup_delay(entries, tau: int, horizon: int, node_max, *, staged=(),
     return out
 
 
-def _group_by_time(arcs):
-    groups = [(tau, list(block)) for tau, block in groupby(arcs, key=attrgetter("tau"))]
-    if any(a[0] > b[0] for a, b in zip(groups, groups[1:])):
-        raise ValueError("arcs not sorted by appearance time")
-    return groups
-
-
-def _node_max_list(g: PointTemporalGraph) -> list[int]:
-    """Last activity time per node (-1 for isolated nodes): the maximum
-    arrival over all incident arcs, at either endpoint.  Raises
-    ``NodeRangeError`` for an arc whose endpoint lies outside ``[0, n)``."""
-    n = g.n
-    out = [-1] * n
-    for a in g.arcs:
-        u, v = a.u, a.v
-        if not (0 <= u < n and 0 <= v < n):
-            raise NodeRangeError(f"arc {a} has a node id out of range for n={n}")
-        arrival = a.tau + a.delta
-        if arrival > out[u]:
-            out[u] = arrival
-        if arrival > out[v]:
-            out[v] = arrival
-    return out
-
-
 def _check_source(g: PointTemporalGraph, s) -> None:
     if isinstance(s, bool) or not (0 <= s < g.n):
         raise NodeRangeError(f"source {s!r} out of range for n={g.n}")
@@ -271,13 +246,14 @@ def solve_unit(g: PointTemporalGraph, s: NodeId, delta_max: int, *,
     set keeps a dominated time.
     """
     _check_source(g, s)
+    deltas = g.delta
     if non_strict:
-        if any(a.delta != 0 for a in g.arcs):
+        if deltas.count(0) != len(deltas):
             raise ModelMismatchError(
                 "non_strict mode requires all delays zero; "
                 "use solve_general for positive delays"
             )
-    elif any(a.delta != 1 for a in g.arcs):
+    elif deltas.count(1) != len(deltas):
         raise ModelMismatchError(
             "solve_unit requires uniform delay one; use solve_general "
             "for arbitrary positive delays"
@@ -292,7 +268,7 @@ def solve_general(g: PointTemporalGraph, s: NodeId, delta_max: int, *,
     """Compute every node reachable from ``s`` by a restless temporal path,
     for arbitrary positive delays.  Options as in ``solve_unit``."""
     _check_source(g, s)
-    if any(a.delta < 1 for a in g.arcs):
+    if g.delta and min(g.delta) < 1:
         raise ModelMismatchError(
             "solve_general requires positive delays; zero-delay graphs "
             "run under solve_unit with non_strict=True"
@@ -302,9 +278,14 @@ def solve_general(g: PointTemporalGraph, s: NodeId, delta_max: int, *,
 
 
 def _scan(g, s, delta_max, *, record_paths, prune, non_strict, record_tables, debug):
-    """The per-instant scan behind both entry points (see the module notes)."""
-    node_max = _node_max_list(g)
-    groups = _group_by_time(g.arcs)
+    """The per-instant scan behind both entry points (see the module notes).
+
+    Reads only the graph's columns: each time group is an index range of
+    them, and parent records hold arc indices."""
+    node_min, node_max = g.node_windows
+    last_active = node_max.__getitem__
+    starts = g.group_starts
+    us, vs, taus, deltas = g.u, g.v, g.tau, g.delta
 
     n = g.n
     reachable = [False] * n
@@ -318,10 +299,10 @@ def _scan(g, s, delta_max, *, record_paths, prune, non_strict, record_tables, de
     seed_set = TimeSet(0, seed if record_paths else None, 0, anchors=record_paths, debug=debug)
 
     if debug:
-        bounds = activity_bounds(g)
-        mins_sorted = sorted(bounds.node_min.values())
-        maxs_sorted = sorted(bounds.node_max.values())
-        in_degree = Counter(a.v for a in g.arcs)
+        active = [u for u in range(n) if node_min[u] is not None]
+        mins_sorted = sorted(node_min[u] for u in active)
+        maxs_sorted = sorted(node_max[u] for u in active)
+        in_degree = Counter(vs)
 
         def active_count(t):
             return bisect_right(mins_sorted, t) - bisect_left(maxs_sorted, t)
@@ -333,7 +314,8 @@ def _scan(g, s, delta_max, *, record_paths, prune, non_strict, record_tables, de
     retire = sorted(range(n), key=node_max.__getitem__, reverse=True)
     final = {}
 
-    for tau, group in groups:
+    for lo, hi in zip(starts, islice(starts, 1, None)):
+        tau = taus[lo]
         while retire and node_max[retire[-1]] < tau:
             u = retire.pop()
             if L[u]:
@@ -350,35 +332,37 @@ def _scan(g, s, delta_max, *, record_paths, prune, non_strict, record_tables, de
         # The earliest time a later scan may depart: still ``tau`` in
         # non-strict rounds, the next instant otherwise.
         horizon = tau if non_strict else tau + 1
-        heads = sorted({a.v for a in group})
+        heads = sorted(set(vs[lo:hi]))
         # Round one scans the whole block; non-strict rounds after it
         # re-scan only arcs out of heads whose table gained entries.
-        block, source_tables = group, L
+        block, source_tables = range(lo, hi), L
         out_arcs = None
         rescan = False
         while True:
             staged: dict[int, list] = {}
-            for a in block:
-                entries = source_tables[a.u]
+            for j in block:
+                u = us[j]
+                entries = source_tables[u]
                 if not entries:
                     continue
-                v = a.v
-                arrival = tau + a.delta
+                v = vs[j]
+                arrival = tau + deltas[j]
                 for trace, tset in entries:
                     # ``tset.predecessor(tau)``, inlined on the hot path.
                     times = tset.times
                     i = len(times) if times[-1] <= tau else bisect_right(times, tau)
                     if not i or tau - times[i - 1] > delta_max or v in trace:
                         continue
-                    shrunk = tuple(w for w in trace if node_max[w] >= tau)
-                    new_trace = sorted_insert(shrunk, v)
+                    if min(map(last_active, trace)) < tau:
+                        trace = tuple(w for w in trace if node_max[w] >= tau)
+                    new_trace = sorted_insert(trace, v)
                     stats.extensions += 1
                     reachable[v] = True
                     staged.setdefault(v, []).append(
                         (new_trace, arrival, new_trace if record_paths else None))
                     if record_paths:
                         parent.setdefault((v, arrival, new_trace),
-                                          (a.u, times[i - 1], tset.anchors[i - 1], a))
+                                          (u, times[i - 1], tset.anchors[i - 1], j))
                         arr[v] = (arrival, new_trace)
             gained: dict[int, list] = {}
             for v in staged if rescan else heads:
@@ -404,15 +388,15 @@ def _scan(g, s, delta_max, *, record_paths, prune, non_strict, record_tables, de
                 break
             if out_arcs is None:
                 out_arcs = {}
-                for a in group:
-                    out_arcs.setdefault(a.u, []).append(a)
-            block = [a for u in gained for a in out_arcs.get(u, ())]
+                for j in range(lo, hi):
+                    out_arcs.setdefault(us[j], []).append(j)
+            block = [j for u in gained for j in out_arcs.get(u, ())]
             source_tables = gained
             rescan = True
         if record_tables:
             live = {u: [(tr, ts.times[-1]) for tr, ts in L[u]] for u in range(n) if L[u]}
             tables.append((tau, {**final, **live}))
-    return ReachResult(s, reachable, arr, parent, stats, tables)
+    return ReachResult(s, reachable, arr, parent, stats, tables, arc_count=len(g.tau))
 
 
 def _check_table(cleaned, v, tau, horizon, max_entries, max_times) -> None:
@@ -439,6 +423,9 @@ def retrieve_path(result: ReachResult, g: PointTemporalGraph, s: NodeId, v: Node
         raise PathRecordsError(
             f"result was solved from source {result.source}, not {s}"
         )
+    if len(result.reachable) != g.n or result.arc_count != len(g.tau):
+        raise PathRecordsError("result was solved on a different graph "
+                               f"({len(result.reachable)} nodes, {result.arc_count} arcs)")
     if not (0 <= v < g.n) or not result.reachable[v]:
         raise UnreachableNodeError(f"node {v} is not reachable from {s}")
     if v == s:
@@ -447,20 +434,23 @@ def retrieve_path(result: ReachResult, g: PointTemporalGraph, s: NodeId, v: Node
         raise PathRecordsError("solve was run without record_paths=True")
     arrival, anchor = result.arr[v]
     key = (v, arrival, anchor)
-    arcs_reversed = []
+    indices = []
     while True:
         result.parent_lookups += 1
         record = result.parent.get(key)
         if record is None:
             raise TemporalGraphError(f"broken parent chain at {key}")
-        pred, pred_arrival, pred_anchor, arc = record
-        arcs_reversed.append(arc)
+        pred, pred_arrival, pred_anchor, j = record
+        indices.append(j)
         if pred == s:
             break
         key = (pred, pred_arrival, pred_anchor)
-    path = TemporalPath(arcs=tuple(reversed(arcs_reversed)))
-    if not check_restless_path(g, path, s, v, delta_max):
+    indices.reverse()
+    # Every record names an arc of ``g`` by index, so only the path's
+    # shape needs checking.
+    keys = list(zip(*(map(col.__getitem__, indices) for col in (g.u, g.v, g.tau, g.delta))))
+    if not is_restless(keys, s, v, delta_max):
         raise TemporalGraphError(
             f"internal error: reconstructed path to {v} failed validation"
         )
-    return path
+    return TemporalPath(arcs=g.arcs.take(indices))

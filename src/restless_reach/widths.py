@@ -10,8 +10,9 @@ expanded even when their appearance windows are astronomically long.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
-from .model import IntervalTemporalGraph, NodeId, PointTemporalGraph
+from .model import IntervalTemporalGraph, NodeId, PointTemporalGraph, _node_windows
 
 
 @dataclass
@@ -32,22 +33,17 @@ class ActivityBounds:
         return self.node_min[u], self.node_max[u]
 
 
-def _bounds(windows) -> ActivityBounds:
-    """Min start and max arrival per node (over in- and out-arcs) and per
-    underlying arc, from ``(u, v, start, arrival)`` arc windows."""
+def _bounds(windows, us, vs, starts, arrivals) -> ActivityBounds:
+    """Activity bounds from the ``_node_windows`` of some arc columns plus
+    the min start and max arrival per underlying arc."""
     b = ActivityBounds()
-    node_min, node_max, arc_min, arc_max = b.node_min, b.node_max, b.arc_min, b.arc_max
-    for u, v, start, arrival in windows:
-        for node in (u, v):
-            if node not in node_min:
-                node_min[node] = start
-                node_max[node] = arrival
-            else:
-                if start < node_min[node]:
-                    node_min[node] = start
-                if arrival > node_max[node]:
-                    node_max[node] = arrival
-        key = (u, v)
+    node_min, node_max = windows
+    for node, lo in enumerate(node_min):
+        if lo is not None:
+            b.node_min[node] = lo
+            b.node_max[node] = node_max[node]
+    arc_min, arc_max = b.arc_min, b.arc_max
+    for key, start, arrival in zip(zip(us, vs), starts, arrivals):
         if key not in arc_min:
             arc_min[key] = start
             arc_max[key] = arrival
@@ -59,16 +55,25 @@ def _bounds(windows) -> ActivityBounds:
     return b
 
 
+def _interval_columns(g: IntervalTemporalGraph):
+    """``(u, v, start, arrival)`` columns of an interval graph's windows:
+    window start and window end plus delay."""
+    arcs = g.arcs
+    return ([a.u for a in arcs], [a.v for a in arcs], [a.tau_start for a in arcs],
+            [a.tau_end + a.delta for a in arcs])
+
+
 def activity_bounds(g: PointTemporalGraph) -> ActivityBounds:
-    """One pass over the arcs, taking min appearance and max arrival per
-    node and per underlying arc."""
-    return _bounds((a.u, a.v, a.tau, a.tau + a.delta) for a in g.arcs)
+    """Min appearance and max arrival per node and per underlying arc.
+    Raises ``NodeRangeError`` for an arc outside ``[0, n)``."""
+    return _bounds(g.node_windows, g.u, g.v, g.tau, map(add, g.tau, g.delta))
 
 
 def interval_activity_bounds(g: IntervalTemporalGraph) -> ActivityBounds:
     """Activity windows for interval graphs: min window start, max window
     end plus delay, without expanding any interval."""
-    return _bounds((a.u, a.v, a.tau_start, a.tau_end + a.delta) for a in g.arcs)
+    columns = _interval_columns(g)
+    return _bounds(_node_windows(g.n, *columns), *columns)
 
 
 def active_nodes_at(bounds: ActivityBounds, tau: int) -> set[NodeId]:
@@ -99,16 +104,20 @@ def _max_overlap(intervals) -> int:
     return best
 
 
+def _window_overlap(windows) -> int:
+    node_min, node_max = windows
+    return _max_overlap((lo, hi) for lo, hi in zip(node_min, node_max) if lo is not None)
+
+
 def vertex_im_width(g: PointTemporalGraph) -> int:
-    """Maximum number of simultaneously active nodes; 0 for arc-less graphs."""
-    b = activity_bounds(g)
-    return _max_overlap(
-        (b.node_min[u], b.node_max[u]) for u in b.node_min
-    )
+    """Maximum number of simultaneously active nodes; 0 for arc-less
+    graphs.  Raises ``NodeRangeError`` for an arc outside ``[0, n)``."""
+    return _window_overlap(g.node_windows)
 
 
 def arc_im_width(g: PointTemporalGraph) -> int:
-    """Maximum number of simultaneously active underlying arcs."""
+    """Maximum number of simultaneously active underlying arcs.  Raises
+    ``NodeRangeError`` for an arc outside ``[0, n)``."""
     b = activity_bounds(g)
     return _max_overlap(
         (b.arc_min[a], b.arc_max[a]) for a in b.arc_min
@@ -117,7 +126,4 @@ def arc_im_width(g: PointTemporalGraph) -> int:
 
 def interval_vertex_im_width(g: IntervalTemporalGraph) -> int:
     """Maximum number of simultaneously active nodes of an interval graph."""
-    b = interval_activity_bounds(g)
-    return _max_overlap(
-        (b.node_min[u], b.node_max[u]) for u in b.node_min
-    )
+    return _window_overlap(_node_windows(g.n, *_interval_columns(g)))

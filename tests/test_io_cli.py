@@ -106,6 +106,16 @@ class TestParsing:
     def test_round_trip_point(self, g):
         assert parse_graph(serialize_graph(g)) == g
 
+    @given(point_graph_strategy())
+    def test_round_trip_unsorted_construction(self, g):
+        arcs = list(zip(g.u, g.v, g.tau, g.delta))
+        as_given = point_graph(g.n, arcs, sort=False)
+        assert parse_graph(serialize_graph(as_given)) == g
+        shuffled = point_graph(g.n, arcs[::-1], sort=False)
+        res = parse_graph_ex(serialize_graph(shuffled))
+        assert res.graph == point_graph(g.n, arcs[::-1])
+        assert res.input_was_sorted == (len(set(g.tau)) <= 1)
+
     def test_round_trip_non_strict(self):
         g = point_graph(3, [(0, 1, 2, 0), (1, 2, 2, 0)], non_strict=True)
         assert parse_graph(serialize_graph(g)) == g

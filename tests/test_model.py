@@ -6,13 +6,17 @@ from restless_reach import (
     ExpansionSizeError,
     IntervalTimedArc,
     PointTemporalGraph,
+    SubsetSumInstance,
     TemporalPath,
     TimedArc,
     check_restless_path,
     expand_interval_to_point,
+    gen_subset_sum_instance,
     interval_graph,
     lift_path_to_interval,
     point_graph,
+    retrieve_path,
+    solve_general,
     underlying_graph,
     validate_interval_graph,
     validate_point_graph,
@@ -29,8 +33,7 @@ def path_of(*arcs):
 class TestValidation:
     def test_unsorted_arcs_reported(self):
         g = PointTemporalGraph(
-            n=2,
-            arcs=(TimedArc(0, 1, 3, 1), TimedArc(0, 1, 1, 1)),
+            n=2, u=(0, 0), v=(1, 1), tau=(3, 1), delta=(1, 1),
             lifetime=4,
             uniform_delay_one=True,
         )
@@ -57,8 +60,7 @@ class TestValidation:
 
     def test_overflowing_arrival_reported(self):
         g = PointTemporalGraph(
-            n=2,
-            arcs=(TimedArc(0, 1, MAX_TIME, 1),),
+            n=2, u=(0,), v=(1,), tau=(MAX_TIME,), delta=(1,),
             lifetime=MAX_TIME + 1,
             uniform_delay_one=True,
         )
@@ -66,7 +68,7 @@ class TestValidation:
 
     def test_inconsistent_flags_reported(self):
         g = PointTemporalGraph(
-            n=2, arcs=(TimedArc(0, 1, 1, 2),), lifetime=3, uniform_delay_one=True,
+            n=2, u=(0,), v=(1,), tau=(1,), delta=(2,), lifetime=3, uniform_delay_one=True,
         )
         assert any("uniform_delay_one" in v for v in validate_point_graph(g).violations)
 
@@ -96,7 +98,7 @@ class TestRestlessPathCheck:
 
     def test_arc_multiplicity_checked_at_its_time(self):
         arcs = [(0, 1, 3, 1), (0, 1, 3, 1), (1, 2, 3, 2), (2, 3, 5, 1)]
-        # Padding at other times makes the check bisect instead of counting all.
+        # Padding at other times puts arcs outside the bisected slices.
         padded = arcs + [(3, 4, t, 1) for t in range(10, 50)]
         repeated = path_of((0, 1, 3, 1), (0, 1, 3, 1))
         tripled = path_of((0, 1, 3, 1), (0, 1, 3, 1), (0, 1, 3, 1))
@@ -190,6 +192,39 @@ class TestExpansion:
         lifted = lift_path_to_interval(g, p)
         assert lifted.departures == (1, 3)
         assert check_restless_path(g, lifted, 0, 2, 0)
+
+    def test_lift_matches_first_covering_arc(self):
+        def brute_force_lift(g, path):
+            arcs = []
+            for a in path.arcs:
+                match = None
+                for ia in g.arcs:
+                    if (ia.u, ia.v, ia.delta) == (a.u, a.v, a.delta) and ia.tau_start <= a.tau <= ia.tau_end:
+                        match = ia
+                        break
+                arcs.append(match)
+            return TemporalPath(arcs=tuple(arcs), departures=tuple(a.tau for a in path.arcs))
+
+        inst = gen_subset_sum_instance(SubsetSumInstance((2, 3, 2, 5), 7))
+        # Overlapping copies of the first item's windows make the choice
+        # of the first covering arc matter.
+        g = interval_graph(inst.graph.n, list(inst.graph.arcs) + [
+            (0, 1, 0, 0, 1), (0, 1, 0, 9, 3), (0, 1, 0, 9, 1)])
+        expanded = expand_interval_to_point(g)
+        lifted = 0
+        for s in range(g.n):
+            result = solve_general(expanded, s, 0, record_paths=True)
+            for v in sorted(result.reachable_set() - {s}):
+                path = retrieve_path(result, expanded, s, v, 0)
+                assert lift_path_to_interval(g, path) == brute_force_lift(g, path)
+                lifted += 1
+        assert lifted > 10
+
+    def test_lift_rejects_uncovered_arc(self):
+        g = interval_graph(3, [(0, 1, 0, 4, 2), (1, 2, 3, 8, 1)])
+        for uncovered in ((0, 1, 5, 2), (0, 1, 1, 1), (1, 0, 1, 2)):
+            with pytest.raises(ArcNotInGraphError):
+                lift_path_to_interval(g, path_of(uncovered))
 
 
 @given(point_graph_strategy())

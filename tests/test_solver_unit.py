@@ -262,6 +262,6 @@ class TestInputChecks:
     def test_retrieve_path_raises_when_witness_fails_check(self, monkeypatch):
         g = point_graph(3, [(0, 1, 1), (1, 2, 2)])
         res = solve_unit(g, 0, 1, record_paths=True)
-        monkeypatch.setattr(solver_unit, "check_restless_path", lambda *args: False)
+        monkeypatch.setattr(solver_unit, "is_restless", lambda *args: False)
         with pytest.raises(TemporalGraphError, match="failed validation"):
             retrieve_path(res, g, 0, 2, 1)
