@@ -2,8 +2,9 @@
 
 Library surface: a temporal-graph data model with path validity checks
 and interval-to-point expansion; interval-membership width computations;
-one reachability engine parameterized by the vertex width, with entry
-points for uniform delay one and for arbitrary positive delays, and
+one reachability engine parameterized by the vertex width, which reads
+the delay model (all positive or all zero) off the graph, with entry
+points for uniform delay one and for any admitted graph, and
 witness-path retrieval; brute-force oracles for testing; and generators
 for gadget and random instances.
 """
@@ -58,6 +59,7 @@ from .solver_unit import (
 from .oracle import (
     OracleGuardError,
     OracleResult,
+    TimeIndexError,
     oracle_reachable,
     oracle_traces,
     sat_bruteforce,

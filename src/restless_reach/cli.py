@@ -3,8 +3,10 @@
 Subcommands: ``solve`` (reachability and witness paths), ``width``
 (interval-membership widths), ``generate`` (gadget and random instances),
 ``check`` (solver-versus-oracle cross validation), ``bench`` (timing
-harness).  Exit codes: 0 success/reachable, 1 not reachable or mismatch,
-2 usage or parse error, 3 resource guard tripped.
+harness).  Each query is one ``solve_general`` call, which reads the
+delay model off the graph.  Exit codes: 0 success/reachable, 1 not
+reachable or mismatch, 2 usage, parse or delay-model error, 3 resource
+guard tripped.
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ from .graph_io import ParseError, parse_dimacs_cnf, parse_graph_ex, serialize_gr
 from .model import (
     ExpansionSizeError,
     IntervalTemporalGraph,
-    ModelMismatchError,
     TemporalGraphError,
     expand_interval_to_point,
     lift_path_to_interval,
 )
 from .oracle import OracleGuardError, oracle_reachable
-from .solver_unit import retrieve_path, solve_general, solve_unit
+from .solver_unit import retrieve_path, solve_general
 from .widths import arc_im_width, interval_vertex_im_width, vertex_im_width
 
 EXIT_OK = 0
@@ -66,25 +67,6 @@ def _resolve_node(token: str, n: int, labels: dict[int, str]) -> int:
     return node
 
 
-def _pick_solver(graph, args):
-    """Return (mode, non_strict) for the requested mode, where mode is
-    ``"unit"`` or ``"general"``."""
-    zero = bool(graph.delta) and graph.delta.count(0) == len(graph.delta)
-    if args.nonstrict or (args.auto_mode and zero):
-        if not zero and graph.arcs:
-            raise ModelMismatchError("--nonstrict requires an all-zero-delay graph")
-        return "unit", True
-    if args.unit:
-        if not graph.uniform_delay_one and graph.arcs:
-            raise ModelMismatchError("--unit requires uniform delay one (try --general)")
-        return "unit", False
-    if args.general:
-        return "general", False
-    if graph.uniform_delay_one or not graph.arcs:
-        return "unit", False
-    return "general", False
-
-
 def cmd_solve(args) -> int:
     try:
         parsed = parse_graph_ex(_read_file(args.input))
@@ -114,20 +96,7 @@ def cmd_solve(args) -> int:
     if args.delta < 0:
         return _fail("--delta must be non-negative", EXIT_USAGE)
 
-    args.auto_mode = not (args.unit or args.general)
-    try:
-        mode, non_strict = _pick_solver(graph, args)
-        if mode == "unit":
-            result = solve_unit(
-                graph, s, args.delta,
-                record_paths=args.path, prune=args.prune, non_strict=non_strict,
-            )
-        else:
-            result = solve_general(
-                graph, s, args.delta, record_paths=args.path, prune=args.prune,
-            )
-    except (ModelMismatchError, ValueError) as e:
-        return _fail(str(e), EXIT_USAGE)
+    result = solve_general(graph, s, args.delta, record_paths=args.path, prune=args.prune)
 
     path = lifted = None
     if args.path and t is not None and result.reachable[t]:
@@ -207,31 +176,17 @@ def cmd_generate(args) -> int:
 
 
 def _check_one(graph, s, delta, descriptor) -> bool:
-    truth = oracle_reachable(graph, s, delta)
-    results = {}
-    zero = bool(graph.delta) and graph.delta.count(0) == len(graph.delta)
-    if zero:
-        results["unit-nonstrict"] = solve_unit(graph, s, delta, non_strict=True).reachable
-    else:
-        if graph.uniform_delay_one or not graph.arcs:
-            results["unit"] = solve_unit(graph, s, delta).reachable
-        if not graph.delta or min(graph.delta) >= 1:
-            results["general"] = solve_general(graph, s, delta).reachable
-    if not results:
-        raise ModelMismatchError(
-            "no solver covers this graph (mixed zero and positive delays)"
-        )
-    ok = all(r == truth.reachable for r in results.values())
-    if ok:
+    got = solve_general(graph, s, delta).reachable
+    truth = oracle_reachable(graph, s, delta).reachable
+    if got == truth:
         print(f"MATCH {descriptor}")
-    else:
-        print(f"MISMATCH {descriptor}")
-        print("# reproducing instance:")
-        sys.stdout.write(serialize_graph(graph))
-        print(f"# source={s} delta={delta} oracle={truth.reachable}")
-        for name, r in results.items():
-            print(f"# {name}={r}")
-    return ok
+        return True
+    print(f"MISMATCH {descriptor}")
+    print("# reproducing instance:")
+    sys.stdout.write(serialize_graph(graph))
+    print(f"# source={s} delta={delta} oracle={truth}")
+    print(f"# solver={got}")
+    return False
 
 
 def cmd_check(args) -> int:
@@ -261,7 +216,7 @@ def cmd_check(args) -> int:
         s = _resolve_node(args.source, graph.n, parsed.labels)
         ok = _check_one(graph, s, args.delta, f"file={args.input}")
         return EXIT_OK if ok else EXIT_NO
-    except (ParseError, ValueError, OSError, ModelMismatchError) as e:
+    except (ParseError, ValueError, OSError) as e:
         return _fail(str(e), EXIT_USAGE)
     except (OracleGuardError, ExpansionSizeError) as e:
         return _fail(str(e), EXIT_GUARD)
@@ -303,10 +258,7 @@ def cmd_bench(args) -> int:
                 graph, s, descriptor = _bench_instance(args, size, repeat)
                 width = vertex_im_width(graph)
                 start = time.perf_counter()
-                if graph.uniform_delay_one or not graph.arcs:
-                    result = solve_unit(graph, s, args.delta, prune=args.prune)
-                else:
-                    result = solve_general(graph, s, args.delta, prune=args.prune)
+                result = solve_general(graph, s, args.delta, prune=args.prune)
                 elapsed = time.perf_counter() - start
                 record = {
                     "instance": descriptor,
@@ -329,7 +281,7 @@ def cmd_bench(args) -> int:
                         f"time={elapsed:.4f}s peak={record['peak_entries']} "
                         f"reach={record['reachable']} rep={repeat}"
                     )
-    except (ParseError, ValueError, OSError, ModelMismatchError) as e:
+    except (ParseError, ValueError, OSError) as e:
         return _fail(str(e), EXIT_USAGE)
     return EXIT_OK
 
@@ -346,13 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--source", required=True)
     p_solve.add_argument("--target")
     p_solve.add_argument("--delta", type=int, required=True)
-    mode = p_solve.add_mutually_exclusive_group()
-    mode.add_argument("--unit", action="store_true")
-    mode.add_argument("--general", action="store_true")
-    mode.add_argument("--auto", action="store_true")
     p_solve.add_argument("--path", action="store_true")
     p_solve.add_argument("--prune", action="store_true")
-    p_solve.add_argument("--nonstrict", action="store_true")
     p_solve.add_argument("--json", action="store_true")
     p_solve.add_argument("--expansion-cap", type=int, default=10**7)
     p_solve.set_defaults(handler=cmd_solve)

@@ -37,7 +37,8 @@ class ArcNotInGraphError(TemporalGraphError):
 
 
 class NodeRangeError(TemporalGraphError):
-    """An arc or a source names a node id outside ``[0, n)`` (or a ``bool``)."""
+    """An arc, a source or a target names a node id outside ``[0, n)`` (or
+    a ``bool``)."""
 
 
 class UnsortedArcsError(TemporalGraphError):
@@ -143,6 +144,13 @@ class ArcView(Sequence):
 
     def __repr__(self) -> str:
         return f"ArcView({list(self)!r})"
+
+
+def check_node(n: int, x, role: str) -> None:
+    """Raise ``NodeRangeError`` unless ``x`` is a node id in ``[0, n)``;
+    a ``bool`` is refused, though it compares as 0 or 1."""
+    if isinstance(x, bool) or not (0 <= x < n):
+        raise NodeRangeError(f"{role} {x!r} out of range for n={n}")
 
 
 def nondecreasing(values) -> bool:
@@ -466,30 +474,19 @@ def _check_arc_multiplicities(g: PointTemporalGraph, keys) -> None:
 
 
 def _check_interval_path(g, path, s, t, delta_max):
+    """Membership and windows here; the shape check is ``is_restless`` on
+    ``(u, v, departure, delta)`` rows."""
     arc_set = set(g.arcs)
     for arc in path.arcs:
         if arc not in arc_set:
             raise ArcNotInGraphError(f"arc not in graph: {arc}")
-    if not path.arcs:
-        return s == t
-    deps = path.departures
+    deps = path.departures if path.arcs else ()
     if deps is None or len(deps) != len(path.arcs):
         return False
-    if path.arcs[0].u != s or path.arcs[-1].v != t:
+    if not all(a.tau_start <= dep <= a.tau_end for a, dep in zip(path.arcs, deps)):
         return False
-    nodes = path.nodes()
-    if len(set(nodes)) != len(nodes):
-        return False
-    for arc, dep in zip(path.arcs, deps):
-        if not (arc.tau_start <= dep <= arc.tau_end):
-            return False
-    for i in range(len(path.arcs) - 1):
-        if path.arcs[i].v != path.arcs[i + 1].u:
-            return False
-        wait = deps[i + 1] - (deps[i] + path.arcs[i].delta)
-        if wait < 0 or wait > delta_max:
-            return False
-    return True
+    return is_restless([(a.u, a.v, dep, a.delta) for a, dep in zip(path.arcs, deps)],
+                       s, t, delta_max)
 
 
 def expand_interval_to_point(

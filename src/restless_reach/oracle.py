@@ -9,12 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import NodeId, PointTemporalGraph, TemporalPath, TemporalGraphError
+from .model import NodeId, PointTemporalGraph, TemporalPath, TemporalGraphError, check_node
 from .widths import activity_bounds
 
 
 class OracleGuardError(TemporalGraphError):
     """Input exceeds the oracle's configured search-space guard."""
+
+
+class TimeIndexError(TemporalGraphError):
+    """``oracle_traces`` was given a time index outside the graph's
+    appearance times."""
 
 
 @dataclass
@@ -73,19 +78,17 @@ def oracle_reachable(
     s: NodeId,
     delta_max: int,
     *,
-    non_strict: bool = False,
     max_nodes: int = 12,
     max_arcs: int = 40,
 ) -> OracleResult:
     """Exact restless reachability from ``s`` by exhaustive path enumeration.
 
-    ``non_strict`` is accepted for signature symmetry with the solvers; the
-    enumeration conditions already cover zero-delay graphs unchanged.
+    The enumeration conditions cover every delay regime, zero-delay graphs
+    included.  Raises ``NodeRangeError`` for a source outside ``[0, n)``
+    or given as a ``bool``.
     """
-    del non_strict
     _guard(g, max_nodes, max_arcs)
-    if not (0 <= s < g.n):
-        raise ValueError(f"source {s} out of range for n={g.n}")
+    check_node(g.n, s, "source")
     reachable = [False] * g.n
     witness: dict[NodeId, TemporalPath] = {}
     for path in iter_restless_paths(g, s, delta_max):
@@ -114,11 +117,16 @@ def oracle_traces(
     time an arc into ``u`` appears within the prefix, and for every
     distinct projection the maximum arrival time is kept.  For ``u == s``
     the answer is the solver's seeding convention ``{(s,): tau_i}``.
+    Raises ``NodeRangeError`` for ``s`` or ``u`` outside ``[0, n)`` and
+    ``TimeIndexError`` for a ``time_index`` outside the appearance times.
     """
     _guard(g, max_nodes, max_arcs)
+    check_node(g.n, s, "source")
+    check_node(g.n, u, "node")
     times = sorted({a.tau for a in g.arcs})
     if not (0 <= time_index < len(times)):
-        raise ValueError(f"time index {time_index} out of range")
+        raise TimeIndexError(f"time index {time_index!r} out of range "
+                             f"for {len(times)} appearance times")
     tau_i = times[time_index]
     if u == s:
         return {(s,): tau_i}

@@ -1,7 +1,9 @@
 """Restless reachability for point temporal graphs: one scan engine, two
-entry points (``solve_unit`` for uniform delay one or, with
-``non_strict``, all-zero delays; ``solve_general`` for arbitrary positive
-delays).
+entry points.  Each solve reads the delay model off the ``delta`` column
+once: all-positive delays run the strict scan, all-zero delays the
+non-strict same-instant worklist, and a mix raises ``ModelMismatchError``.
+``solve_general`` admits every such graph; ``solve_unit`` only uniform
+delay one or, with ``non_strict``, all-zero delays.
 
 Arcs are scanned one appearance time at a time.  Each node keeps a list
 of ``(trace, TimeSet)`` pairs sorted by trace: a trace is the sorted
@@ -30,10 +32,10 @@ from itertools import islice
 from .model import (
     ModelMismatchError,
     NodeId,
-    NodeRangeError,
     PointTemporalGraph,
     TemporalGraphError,
     TemporalPath,
+    check_node,
     is_restless,
     sorted_insert,
 )
@@ -220,23 +222,20 @@ def cleanup_delay(entries, tau: int, horizon: int, node_max, *, staged=(),
     return out
 
 
-def _check_source(g: PointTemporalGraph, s) -> None:
-    if isinstance(s, bool) or not (0 <= s < g.n):
-        raise NodeRangeError(f"source {s!r} out of range for n={g.n}")
-
-
 def solve_unit(g: PointTemporalGraph, s: NodeId, delta_max: int, *,
                record_paths: bool = False, prune: bool = False, non_strict: bool = False,
                record_tables: bool = False, debug: bool = False) -> ReachResult:
     """Compute every node reachable from ``s`` by a restless temporal path
     whose intermediate waits are at most ``delta_max``.
 
-    Requires uniform delay one, or all-zero delays with ``non_strict``.
-    There arrivals equal departures, so same-instant chains are closed
-    by a worklist: after one full scan of the time's arc block, only arcs
-    out of nodes whose table gained a trace or a later arrival are
-    re-scanned, extending only the gained entries, until no table
-    changes.  The re-scan work per instant is O(block arcs + extensions).
+    Requires uniform delay one or, with ``non_strict``, all-zero delays;
+    ``non_strict`` names the delay required, and the delays decide the
+    scan as in ``solve_general``.  Zero delays make arrivals equal
+    departures, so same-instant chains are closed by a worklist: after
+    one full scan of the time's arc block, only arcs out of nodes whose
+    table gained a trace or a later arrival are re-scanned, extending
+    only the gained entries, until no table changes.  The re-scan work
+    per instant is O(block arcs + extensions).
 
     ``record_paths`` keeps arrival/parent records for ``retrieve_path``;
     ``prune`` drops entries too stale to ever extend; ``record_tables``
@@ -245,18 +244,11 @@ def solve_unit(g: PointTemporalGraph, s: NodeId, delta_max: int, *,
     time set its node's timed in-degree or a time its copy budget, or a
     set keeps a dominated time.
     """
-    _check_source(g, s)
-    deltas = g.delta
-    if non_strict:
-        if deltas.count(0) != len(deltas):
-            raise ModelMismatchError(
-                "non_strict mode requires all delays zero; "
-                "use solve_general for positive delays"
-            )
-    elif deltas.count(1) != len(deltas):
+    check_node(g.n, s, "source")
+    if g.delta.count(0 if non_strict else 1) != len(g.delta):
         raise ModelMismatchError(
-            "solve_unit requires uniform delay one; use solve_general "
-            "for arbitrary positive delays"
+            "solve_unit requires uniform delay one, or all-zero delays with "
+            "non_strict=True; solve_general takes any all-positive or all-zero delays"
         )
     return _scan(g, s, delta_max, record_paths=record_paths, prune=prune,
                  non_strict=non_strict, record_tables=record_tables, debug=debug)
@@ -266,19 +258,29 @@ def solve_general(g: PointTemporalGraph, s: NodeId, delta_max: int, *,
                   record_paths: bool = False, prune: bool = False,
                   debug: bool = False) -> ReachResult:
     """Compute every node reachable from ``s`` by a restless temporal path,
-    for arbitrary positive delays.  Options as in ``solve_unit``."""
-    _check_source(g, s)
-    if g.delta and min(g.delta) < 1:
+    for all-positive delays (the strict scan) or all-zero delays (the
+    non-strict worklist of ``solve_unit``).  Options as in ``solve_unit``.
+
+    Raises ``ModelMismatchError`` for a graph that mixes zero and positive
+    delays, or has a negative one.
+    """
+    check_node(g.n, s, "source")
+    deltas = g.delta
+    # One pass for positive delays; the count runs only when one is zero.
+    lowest = min(deltas, default=1)
+    non_strict = lowest == 0 and deltas.count(0) == len(deltas)
+    if lowest < 1 and not non_strict:
         raise ModelMismatchError(
-            "solve_general requires positive delays; zero-delay graphs "
-            "run under solve_unit with non_strict=True"
+            "delays must be all positive or all zero; mixed zero and positive "
+            "(or negative) delays are not supported"
         )
     return _scan(g, s, delta_max, record_paths=record_paths, prune=prune,
-                 non_strict=False, record_tables=False, debug=debug)
+                 non_strict=non_strict, record_tables=False, debug=debug)
 
 
 def _scan(g, s, delta_max, *, record_paths, prune, non_strict, record_tables, debug):
-    """The per-instant scan behind both entry points (see the module notes).
+    """The per-instant scan behind both entry points (see the module notes);
+    ``non_strict`` is the delay model the caller read off the delays.
 
     Reads only the graph's columns: each time group is an index range of
     them, and parent records hold arc indices."""
@@ -418,7 +420,8 @@ def retrieve_path(result: ReachResult, g: PointTemporalGraph, s: NodeId, v: Node
                   delta_max: int) -> TemporalPath:
     """Reconstruct one restless path from ``s`` to ``v`` out of the
     retrieval records of either entry point, walking parent links back
-    to the source."""
+    to the source.  A source or target outside ``[0, n)``, or given as a
+    ``bool``, raises ``NodeRangeError``."""
     if result.source != s:
         raise PathRecordsError(
             f"result was solved from source {result.source}, not {s}"
@@ -426,7 +429,9 @@ def retrieve_path(result: ReachResult, g: PointTemporalGraph, s: NodeId, v: Node
     if len(result.reachable) != g.n or result.arc_count != len(g.tau):
         raise PathRecordsError("result was solved on a different graph "
                                f"({len(result.reachable)} nodes, {result.arc_count} arcs)")
-    if not (0 <= v < g.n) or not result.reachable[v]:
+    check_node(g.n, s, "source")
+    check_node(g.n, v, "target")
+    if not result.reachable[v]:
         raise UnreachableNodeError(f"node {v} is not reachable from {s}")
     if v == s:
         return TemporalPath()

@@ -169,9 +169,15 @@ class TestSolveCommand:
         assert main(["solve", four_node_file, "--source", "s", "--delta", "1"]) == 0
         assert capsys.readouterr().out.strip() == "reachable: 0 1"
 
-    def test_unit_rejected_on_general_delays(self, four_node_file):
-        assert main(["solve", four_node_file, "--source", "0", "--target", "3",
-                     "--delta", "2", "--unit"]) == 2
+    def test_mixed_delays_rejected_by_solve_and_check(self, tmp_path, capsys):
+        path = tmp_path / "mixed.graph"
+        path.write_text("point 3 nonstrict\n0 1 5 0\n1 2 5 1\n")
+        for argv in (["solve", str(path), "--source", "0", "--delta", "0"],
+                     ["check", str(path), "--source", "0", "--delta", "0"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "all positive or all zero" in captured.err
 
     def test_parse_error_is_usage(self, tmp_path):
         bad = tmp_path / "bad.graph"
@@ -207,8 +213,7 @@ class TestSolveCommand:
     def test_nonstrict_flag(self, tmp_path, capsys):
         path = tmp_path / "ns.graph"
         path.write_text("point 3 nonstrict\n0 1 5 0\n1 2 5 0\n")
-        assert main(["solve", str(path), "--source", "0", "--delta", "0",
-                     "--nonstrict"]) == 0
+        assert main(["solve", str(path), "--source", "0", "--delta", "0"]) == 0
         assert capsys.readouterr().out.strip() == "reachable: 0 1 2"
 
 

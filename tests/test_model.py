@@ -145,6 +145,32 @@ class TestRestlessPathCheck:
         outside = TemporalPath(arcs=arcs, departures=(5, 7))
         assert not check_restless_path(g, outside, 0, 2, 9)
 
+    @pytest.mark.parametrize("names, departures, s, t, delta_max, expected", [
+        ("AB", (1, 3), 0, 2, 0, True),
+        ("", None, 1, 1, 0, True),
+        ("", None, 0, 1, 0, False),
+        ("AB", None, 0, 2, 9, False),        # no departures
+        ("AB", (1,), 0, 2, 9, False),        # too few departures
+        ("AB", (1, 3), 1, 2, 9, False),      # wrong start
+        ("AB", (1, 3), 0, 3, 9, False),      # wrong end
+        ("ABC", (1, 3, 5), 0, 0, 9, False),  # revisits the source
+        ("AD", (1, 5), 0, 3, 9, False),      # 0->1 then 2->3: broken chain
+        ("AB", (1, 2), 0, 2, 9, False),      # departs before arriving
+    ])
+    def test_interval_path_shape(self, names, departures, s, t, delta_max, expected):
+        arcs = {"A": (0, 1, 0, 4, 2), "B": (1, 2, 3, 8, 1),
+                "C": (2, 0, 5, 9, 1), "D": (2, 3, 5, 9, 1)}
+        g = interval_graph(4, arcs.values())
+        path = TemporalPath(arcs=tuple(IntervalTimedArc(*arcs[x]) for x in names),
+                            departures=departures)
+        assert check_restless_path(g, path, s, t, delta_max) is expected
+
+    def test_interval_path_absent_arc_raises(self):
+        g = interval_graph(3, [(0, 1, 0, 4, 2), (1, 2, 3, 8, 1)])
+        path = TemporalPath(arcs=(IntervalTimedArc(0, 1, 0, 4, 1),), departures=(1,))
+        with pytest.raises(ArcNotInGraphError):
+            check_restless_path(g, path, 0, 1, 0)
+
 
 class TestUnderlyingGraph:
     def test_four_node_graph(self, four_node_graph):

@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 
 from restless_reach import (
     Cnf34Formula,
+    NodeRangeError,
     OracleGuardError,
+    TimeIndexError,
     check_restless_path,
     gen_random_34sat,
     gen_random_point,
@@ -69,6 +71,17 @@ class TestOracleReachable:
         with pytest.raises(OracleGuardError):
             oracle_reachable(g, 0, 1)
 
+    @pytest.mark.parametrize("source", [3, -1, True])
+    def test_rejects_bad_source(self, source):
+        g = point_graph(3, [(0, 1, 2, 1), (1, 2, 5, 1)])
+        with pytest.raises(NodeRangeError):
+            oracle_reachable(g, source, 1)
+
+    def test_has_no_non_strict_keyword(self):
+        g = point_graph(2, [(0, 1, 2, 0)], non_strict=True)
+        with pytest.raises(TypeError):
+            oracle_reachable(g, 0, 1, non_strict=True)
+
     @given(point_graph_strategy(max_n=5, max_m=8))
     def test_invariant_under_equal_time_reorder(self, g):
         arcs = sorted(g.arcs, key=lambda a: (a.tau, a.v, a.u, -a.delta))
@@ -97,6 +110,18 @@ class TestOracleTraces:
     def test_node_without_incoming_arcs_is_empty(self):
         g = point_graph(3, [(0, 1, 2, 1)])
         assert oracle_traces(g, 0, 3, 0, 2) == {}
+
+    @pytest.mark.parametrize("time_index", [2, -1])
+    def test_rejects_bad_time_index(self, time_index):
+        g = point_graph(3, [(0, 1, 2, 1), (1, 2, 5, 1)])
+        with pytest.raises(TimeIndexError):
+            oracle_traces(g, 0, 3, time_index, 1)
+
+    @pytest.mark.parametrize("u", [3, -1, True])
+    def test_rejects_node_out_of_range(self, u):
+        g = point_graph(3, [(0, 1, 2, 1), (1, 2, 5, 1)])
+        with pytest.raises(NodeRangeError):
+            oracle_traces(g, 0, 3, 0, u)
 
     def test_projection_drops_expired_nodes(self):
         # After node 0 goes inactive the trace of the path 0->1 shrinks.

@@ -146,10 +146,40 @@ class TestSolveGeneral:
         with pytest.raises(NodeRangeError):
             solve_general(four_node_graph, False, 2)
 
-    def test_rejects_zero_delays(self):
-        g = point_graph(2, [(0, 1, 2, 0)], non_strict=True)
-        with pytest.raises(ModelMismatchError, match="non_strict"):
+    def test_zero_delays_equal_solve_unit_non_strict(self):
+        for seed in range(120):
+            g = gen_random_point(2 + seed % 7, seed % 21, max_time=seed % 4, max_delay=0,
+                                 seed=seed)
+            delta = seed % 3
+            for prune in (False, True):
+                got = solve_general(g, 0, delta, prune=prune, record_paths=True, debug=True)
+                want = solve_unit(g, 0, delta, prune=prune, non_strict=True,
+                                  record_paths=True, debug=True)
+                assert (got.reachable, got.stats, got.arr, got.parent) == \
+                    (want.reachable, want.stats, want.arr, want.parent)
+
+    def test_zero_delays_match_oracle_with_witnesses(self):
+        for seed in range(120):
+            g = gen_random_point(2 + seed % 7, seed % 21, max_time=seed % 4, max_delay=0,
+                                 seed=seed)
+            delta = seed % 3
+            want = oracle_reachable(g, 0, delta).reachable
+            for prune in (False, True):
+                res = solve_general(g, 0, delta, prune=prune, record_paths=True, debug=True)
+                assert res.reachable == want
+                for v in sorted(res.reachable_set()):
+                    path = retrieve_path(res, g, 0, v, delta)
+                    assert check_restless_path(g, path, 0, v, delta)
+
+    @pytest.mark.parametrize("delays", [(0, 1), (1, 0), (2, 0, 2), (1, -1)])
+    def test_rejects_mixed_delays_from_both_entry_points(self, delays):
+        chain = [(i, i + 1, 3 * i, d) for i, d in enumerate(delays)]
+        g = point_graph(len(delays) + 1, chain, non_strict=True)
+        with pytest.raises(ModelMismatchError, match="all positive or all zero"):
             solve_general(g, 0, 1)
+        for non_strict in (False, True):
+            with pytest.raises(ModelMismatchError):
+                solve_unit(g, 0, 1, non_strict=non_strict)
 
     @pytest.mark.parametrize("arc", [(0, 5, 1, 2), (5, 0, 1, 2), (0, -1, 1, 2), (-1, 0, 1, 2)])
     def test_rejects_out_of_range_node_ids(self, arc):

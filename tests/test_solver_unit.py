@@ -259,6 +259,13 @@ class TestInputChecks:
         with pytest.raises(NodeRangeError):
             solve_unit(point_graph(3, [arc]), 0, 1)
 
+    @pytest.mark.parametrize("source, target", [(1, True), (1, 3), (1, -1), (True, 2)])
+    def test_retrieve_path_rejects_bad_endpoints(self, source, target):
+        g = point_graph(3, [(1, 0, 1), (1, 2, 2)])
+        res = solve_unit(g, 1, 1, record_paths=True)
+        with pytest.raises(NodeRangeError):
+            retrieve_path(res, g, source, target, 1)
+
     def test_retrieve_path_raises_when_witness_fails_check(self, monkeypatch):
         g = point_graph(3, [(0, 1, 1), (1, 2, 2)])
         res = solve_unit(g, 0, 1, record_paths=True)
