@@ -1,12 +1,14 @@
 """Restless temporal path reachability in point and interval temporal graphs.
 
-Library surface: a temporal-graph data model with path validity checks
-and interval-to-point expansion; interval-membership width computations;
-one reachability engine parameterized by the vertex width, which reads
-the delay model (all positive or all zero) off the graph, with entry
-points for uniform delay one and for any admitted graph, and
-witness-path retrieval; brute-force oracles for testing; and generators
-for gadget and random instances.
+Library surface: a temporal-graph data model that stores a point graph
+as four arc columns and derives every other fact (lifetime, delay flag,
+time groups, node windows) from them on first use, with validity and
+path checks and interval-to-point expansion; interval-membership widths
+over the node windows; one reachability engine parameterized by the
+vertex width, which reads the delay model (all positive or all zero) off
+the graph, with entry points for uniform delay one and for any admitted
+graph, and witness-path retrieval; brute-force oracles for testing; and
+generators for gadget and random instances.
 """
 
 from .model import (
@@ -19,28 +21,22 @@ from .model import (
     ModelMismatchError,
     NodeRangeError,
     PointTemporalGraph,
-    StaticDigraph,
     TemporalGraphError,
     TemporalPath,
     TimedArc,
     TimeOverflowError,
     UnsortedArcsError,
-    ValidationReport,
+    WaitBoundError,
     check_restless_path,
     expand_interval_to_point,
     interval_graph,
     lift_path_to_interval,
     point_graph,
-    underlying_graph,
     validate_interval_graph,
     validate_point_graph,
 )
 from .widths import (
-    ActivityBounds,
-    active_nodes_at,
-    activity_bounds,
     arc_im_width,
-    interval_activity_bounds,
     interval_vertex_im_width,
     vertex_im_width,
 )

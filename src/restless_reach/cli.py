@@ -93,8 +93,6 @@ def cmd_solve(args) -> int:
         return _fail(str(e), EXIT_USAGE)
     if args.path and t is None:
         return _fail("--path needs --target", EXIT_USAGE)
-    if args.delta < 0:
-        return _fail("--delta must be non-negative", EXIT_USAGE)
 
     result = solve_general(graph, s, args.delta, record_paths=args.path, prune=args.prune)
 

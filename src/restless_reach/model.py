@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
 from operator import add, eq, le
@@ -56,6 +56,10 @@ class ExpansionSizeError(TemporalGraphError):
 
 class TimeOverflowError(TemporalGraphError):
     """A computed time does not fit in the 64-bit time representation."""
+
+
+class WaitBoundError(TemporalGraphError):
+    """A wait bound ``delta_max`` is negative."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,6 +157,12 @@ def check_node(n: int, x, role: str) -> None:
         raise NodeRangeError(f"{role} {x!r} out of range for n={n}")
 
 
+def check_wait_bound(delta_max: int) -> None:
+    """Raise ``WaitBoundError`` if the wait bound ``delta_max`` is negative."""
+    if delta_max < 0:
+        raise WaitBoundError(f"wait bound {delta_max!r} is negative")
+
+
 def nondecreasing(values) -> bool:
     """Whether ``values`` (a list or tuple) never decreases."""
     return all(map(le, values, islice(values, 1, None)))
@@ -190,8 +200,9 @@ class PointTemporalGraph:
     columns in non-decreasing ``tau`` order: arc ``i`` departs ``u[i]``
     at ``tau[i]`` and reaches ``v[i]`` at ``tau[i] + delta[i]``.
 
-    Build one with ``point_graph`` or ``from_columns``.  The time groups
-    and node windows are derived once, on first use.
+    Build one with ``point_graph`` or ``from_columns``.  Only the columns
+    are stored; the lifetime, the delay flag, the time groups and the node
+    windows are derived from them once, on first use.
     """
 
     n: int
@@ -199,29 +210,33 @@ class PointTemporalGraph:
     v: tuple[int, ...]
     tau: tuple[int, ...]
     delta: tuple[int, ...]
-    lifetime: int
-    uniform_delay_one: bool
     non_strict: bool = False
 
     @classmethod
     def from_columns(cls, n: int, u, v, tau, delta, *, non_strict: bool = False,
                      sort: bool = True) -> PointTemporalGraph:
         """Build a graph from parallel columns, stably sorted by ``tau``
-        unless ``sort=False``, computing lifetime and the delay flag."""
+        unless ``sort=False``."""
         if sort and not nondecreasing(tau):
             order = sorted(range(len(tau)), key=tau.__getitem__)
             u, v, tau, delta = ([col[i] for i in order] for col in (u, v, tau, delta))
-        delta = tuple(delta)
-        return cls(
-            n=n, u=tuple(u), v=tuple(v), tau=tuple(tau), delta=delta,
-            lifetime=max(map(add, tau, delta), default=0),
-            uniform_delay_one=bool(delta) and delta.count(1) == len(delta),
-            non_strict=non_strict,
-        )
+        return cls(n=n, u=tuple(u), v=tuple(v), tau=tuple(tau), delta=tuple(delta),
+                   non_strict=non_strict)
 
     @property
     def arcs(self) -> ArcView:
         return ArcView(self)
+
+    @cached_property
+    def lifetime(self) -> int:
+        """The latest arrival time, 0 for an arc-less graph."""
+        return max(map(add, self.tau, self.delta), default=0)
+
+    @cached_property
+    def uniform_delay_one(self) -> bool:
+        """Whether the graph has arcs and every delay is one."""
+        delta = self.delta
+        return bool(delta) and delta.count(1) == len(delta)
 
     @cached_property
     def group_starts(self) -> list[int]:
@@ -254,15 +269,11 @@ class PointTemporalGraph:
 class IntervalTemporalGraph:
     n: int
     arcs: tuple[IntervalTimedArc, ...]
-    lifetime: int
 
-
-@dataclass(frozen=True)
-class StaticDigraph:
-    """Underlying static digraph: deduplicated (u, v) arc pairs."""
-
-    n: int
-    arcs: frozenset[tuple[NodeId, NodeId]]
+    @cached_property
+    def lifetime(self) -> int:
+        """The latest window end plus delay, 0 for an arc-less graph."""
+        return max((a.tau_end + a.delta for a in self.arcs), default=0)
 
 
 @dataclass(frozen=True)
@@ -298,18 +309,6 @@ class Instance:
     labels: dict[int, str] | None = None
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, message: str) -> None:
-        self.violations.append(message)
-
-
 def point_graph(
     n: int,
     arcs,
@@ -317,7 +316,7 @@ def point_graph(
     non_strict: bool = False,
     sort: bool = True,
 ) -> PointTemporalGraph:
-    """Build a point temporal graph, computing lifetime and delay flags.
+    """Build a point temporal graph.
 
     Arcs may be ``TimedArc`` instances or ``(u, v, tau, delta)`` tuples;
     ``(u, v, tau)`` abbreviates delay one.  Arcs are stably sorted by
@@ -346,61 +345,46 @@ def interval_graph(n: int, arcs) -> IntervalTemporalGraph:
             normalized.append(a)
         else:
             normalized.append(IntervalTimedArc(*a))
-    lifetime = max((a.tau_end + a.delta for a in normalized), default=0)
-    return IntervalTemporalGraph(n=n, arcs=tuple(normalized), lifetime=lifetime)
+    return IntervalTemporalGraph(n=n, arcs=tuple(normalized))
 
 
-def validate_point_graph(g: PointTemporalGraph) -> ValidationReport:
-    """Report every violated graph invariant; an empty report means valid."""
-    report = ValidationReport()
+def validate_point_graph(g: PointTemporalGraph) -> list[str]:
+    """Every violated graph invariant, one message each; an empty list
+    means the graph is valid."""
     if not len(g.u) == len(g.v) == len(g.tau) == len(g.delta):
-        report.add(f"column lengths differ: u {len(g.u)}, v {len(g.v)}, "
-                   f"tau {len(g.tau)}, delta {len(g.delta)}")
-        return report
+        return [f"column lengths differ: u {len(g.u)}, v {len(g.v)}, "
+                f"tau {len(g.tau)}, delta {len(g.delta)}"]
+    violations = []
     prev_tau = None
     for i, (u, v, tau, delta) in enumerate(zip(g.u, g.v, g.tau, g.delta)):
         if not (0 <= u < g.n and 0 <= v < g.n):
-            report.add(f"arc {i}: node id out of range for n={g.n}: {g.arcs[i]}")
+            violations.append(f"arc {i}: node id out of range for n={g.n}: {g.arcs[i]}")
         if tau < 0 or delta < 0:
-            report.add(f"arc {i}: negative time or delay: {g.arcs[i]}")
+            violations.append(f"arc {i}: negative time or delay: {g.arcs[i]}")
         if delta == 0 and not g.non_strict:
-            report.add(f"arc {i}: zero delay without non_strict flag: {g.arcs[i]}")
+            violations.append(f"arc {i}: zero delay without non_strict flag: {g.arcs[i]}")
         if tau > MAX_TIME or tau + delta > MAX_TIME:
-            report.add(f"arc {i}: arrival time overflows 64-bit range: {g.arcs[i]}")
+            violations.append(f"arc {i}: arrival time overflows 64-bit range: {g.arcs[i]}")
         if prev_tau is not None and tau < prev_tau:
-            report.add(f"arc {i}: not sorted by appearance time ({tau} after {prev_tau})")
+            violations.append(f"arc {i}: not sorted by appearance time ({tau} after {prev_tau})")
         prev_tau = tau
-    lifetime = max(map(add, g.tau, g.delta), default=0)
-    if g.lifetime != lifetime:
-        report.add(f"lifetime field {g.lifetime} inconsistent with arcs (expected {lifetime})")
-    uniform = bool(g.delta) and g.delta.count(1) == len(g.delta)
-    if g.uniform_delay_one != uniform:
-        report.add("uniform_delay_one flag inconsistent with arc delays")
-    return report
+    return violations
 
 
-def validate_interval_graph(g: IntervalTemporalGraph) -> ValidationReport:
-    report = ValidationReport()
+def validate_interval_graph(g: IntervalTemporalGraph) -> list[str]:
+    """Every violated graph invariant, one message each; an empty list
+    means the graph is valid."""
+    violations = []
     for i, a in enumerate(g.arcs):
         if not (0 <= a.u < g.n and 0 <= a.v < g.n):
-            report.add(f"arc {i}: node id out of range for n={g.n}: {a}")
+            violations.append(f"arc {i}: node id out of range for n={g.n}: {a}")
         if a.tau_end < a.tau_start:
-            report.add(f"arc {i}: interval end before start: {a}")
+            violations.append(f"arc {i}: interval end before start: {a}")
         if a.delta < 1:
-            report.add(f"arc {i}: non-positive delay: {a}")
+            violations.append(f"arc {i}: non-positive delay: {a}")
         if a.tau_end + a.delta > MAX_TIME:
-            report.add(f"arc {i}: arrival time overflows 64-bit range: {a}")
-    lifetime = max((a.tau_end + a.delta for a in g.arcs), default=0)
-    if g.lifetime != lifetime:
-        report.add(f"lifetime field {g.lifetime} inconsistent with arcs (expected {lifetime})")
-    return report
-
-
-def underlying_graph(g: PointTemporalGraph | IntervalTemporalGraph) -> StaticDigraph:
-    """Deduplicated static arc set {(u, v)} over all timed arcs."""
-    if isinstance(g, IntervalTemporalGraph):
-        return StaticDigraph(n=g.n, arcs=frozenset((a.u, a.v) for a in g.arcs))
-    return StaticDigraph(n=g.n, arcs=frozenset(zip(g.u, g.v)))
+            violations.append(f"arc {i}: arrival time overflows 64-bit range: {a}")
+    return violations
 
 
 def check_restless_path(

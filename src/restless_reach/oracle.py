@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import NodeId, PointTemporalGraph, TemporalPath, TemporalGraphError, check_node
-from .widths import activity_bounds
+from .model import (NodeId, PointTemporalGraph, TemporalGraphError, TemporalPath, check_node,
+                    check_wait_bound)
 
 
 class OracleGuardError(TemporalGraphError):
@@ -85,10 +85,12 @@ def oracle_reachable(
 
     The enumeration conditions cover every delay regime, zero-delay graphs
     included.  Raises ``NodeRangeError`` for a source outside ``[0, n)``
-    or given as a ``bool``.
+    or given as a ``bool``, and ``WaitBoundError`` for a negative
+    ``delta_max``.
     """
     _guard(g, max_nodes, max_arcs)
     check_node(g.n, s, "source")
+    check_wait_bound(delta_max)
     reachable = [False] * g.n
     witness: dict[NodeId, TemporalPath] = {}
     for path in iter_restless_paths(g, s, delta_max):
@@ -117,12 +119,14 @@ def oracle_traces(
     time an arc into ``u`` appears within the prefix, and for every
     distinct projection the maximum arrival time is kept.  For ``u == s``
     the answer is the solver's seeding convention ``{(s,): tau_i}``.
-    Raises ``NodeRangeError`` for ``s`` or ``u`` outside ``[0, n)`` and
+    Raises ``NodeRangeError`` for ``s`` or ``u`` outside ``[0, n)``,
+    ``WaitBoundError`` for a negative ``delta_max`` and
     ``TimeIndexError`` for a ``time_index`` outside the appearance times.
     """
     _guard(g, max_nodes, max_arcs)
     check_node(g.n, s, "source")
     check_node(g.n, u, "node")
+    check_wait_bound(delta_max)
     times = sorted({a.tau for a in g.arcs})
     if not (0 <= time_index < len(times)):
         raise TimeIndexError(f"time index {time_index!r} out of range "
@@ -134,7 +138,7 @@ def oracle_traces(
     if not in_times:
         return {}
     tau_u = max(in_times)
-    bounds = activity_bounds(g)
+    node_min, node_max = g.node_windows
     prefix = point_subgraph_until(g, tau_i)
     result: dict[tuple[int, ...], int] = {}
     for path in iter_restless_paths(prefix, s, delta_max):
@@ -144,7 +148,7 @@ def oracle_traces(
         nodes.update(a.v for a in path)
         trace = tuple(sorted(
             w for w in nodes
-            if bounds.node_min[w] <= tau_u <= bounds.node_max[w]
+            if node_min[w] <= tau_u <= node_max[w]
         ))
         arrival = path[-1].tau + path[-1].delta
         if result.get(trace, -1) < arrival:

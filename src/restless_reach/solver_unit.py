@@ -36,6 +36,7 @@ from .model import (
     TemporalGraphError,
     TemporalPath,
     check_node,
+    check_wait_bound,
     is_restless,
     sorted_insert,
 )
@@ -242,9 +243,11 @@ def solve_unit(g: PointTemporalGraph, s: NodeId, delta_max: int, *,
     snapshots the trace tables after each appearance time; ``debug``
     raises ``InvariantError`` when a table exceeds 2^|F_tau| traces, a
     time set its node's timed in-degree or a time its copy budget, or a
-    set keeps a dominated time.
+    set keeps a dominated time.  A source outside ``[0, n)`` raises
+    ``NodeRangeError`` and a negative ``delta_max`` ``WaitBoundError``.
     """
     check_node(g.n, s, "source")
+    check_wait_bound(delta_max)
     if g.delta.count(0 if non_strict else 1) != len(g.delta):
         raise ModelMismatchError(
             "solve_unit requires uniform delay one, or all-zero delays with "
@@ -265,6 +268,7 @@ def solve_general(g: PointTemporalGraph, s: NodeId, delta_max: int, *,
     delays, or has a negative one.
     """
     check_node(g.n, s, "source")
+    check_wait_bound(delta_max)
     deltas = g.delta
     # One pass for positive delays; the count runs only when one is zero.
     lowest = min(deltas, default=1)
@@ -421,7 +425,8 @@ def retrieve_path(result: ReachResult, g: PointTemporalGraph, s: NodeId, v: Node
     """Reconstruct one restless path from ``s`` to ``v`` out of the
     retrieval records of either entry point, walking parent links back
     to the source.  A source or target outside ``[0, n)``, or given as a
-    ``bool``, raises ``NodeRangeError``."""
+    ``bool``, raises ``NodeRangeError``, and a negative ``delta_max``
+    ``WaitBoundError``."""
     if result.source != s:
         raise PathRecordsError(
             f"result was solved from source {result.source}, not {s}"
@@ -431,6 +436,7 @@ def retrieve_path(result: ReachResult, g: PointTemporalGraph, s: NodeId, v: Node
                                f"({len(result.reachable)} nodes, {result.arc_count} arcs)")
     check_node(g.n, s, "source")
     check_node(g.n, v, "target")
+    check_wait_bound(delta_max)
     if not result.reachable[v]:
         raise UnreachableNodeError(f"node {v} is not reachable from {s}")
     if v == s:

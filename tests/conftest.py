@@ -2,7 +2,6 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from restless_reach import point_graph
-from restless_reach.widths import active_nodes_at, activity_bounds
 
 settings.register_profile(
     "default",
@@ -22,25 +21,31 @@ def four_node_graph():
     return point_graph(4, [(S, U, 1, 1), (U, V, 4, 2), (U, T, 5, 2), (V, T, 6, 1), (U, V, 7, 5)])
 
 
+def brute_windows(g):
+    """Activity windows ``(first departure, last arrival)`` per node and
+    per underlying arc, read straight from ``g.arcs``."""
+    nodes, arcs = {}, {}
+    for a in g.arcs:
+        lo, hi = a.tau, a.tau + a.delta
+        for table, key in ((nodes, a.u), (nodes, a.v), (arcs, (a.u, a.v))):
+            old_lo, old_hi = table.get(key, (lo, hi))
+            table[key] = (min(old_lo, lo), max(old_hi, hi))
+    return nodes, arcs
+
+
+def brute_force_max_active(windows):
+    """Evaluate the number of active windows at every single time."""
+    last = max((hi for _, hi in windows), default=-1)
+    return max((sum(lo <= t <= hi for lo, hi in windows) for t in range(last + 1)), default=0)
+
+
 def brute_force_vertex_width(g):
     """Reference width: evaluate the active-node set at every single time."""
-    bounds = activity_bounds(g)
-    return max(
-        (len(active_nodes_at(bounds, t)) for t in range(g.lifetime + 1)),
-        default=0,
-    )
+    return brute_force_max_active(list(brute_windows(g)[0].values()))
 
 
 def brute_force_arc_width(g):
-    bounds = activity_bounds(g)
-    best = 0
-    for t in range(g.lifetime + 1):
-        count = sum(
-            1 for key in bounds.arc_min
-            if bounds.arc_min[key] <= t <= bounds.arc_max[key]
-        )
-        best = max(best, count)
-    return best
+    return brute_force_max_active(list(brute_windows(g)[1].values()))
 
 
 @st.composite

@@ -17,7 +17,6 @@ from restless_reach import (
     TemporalPath,
     TimedArc,
     UnsortedArcsError,
-    activity_bounds,
     arc_im_width,
     check_restless_path,
     expand_interval_to_point,
@@ -122,9 +121,9 @@ class TestNodeRangeGate:
     @pytest.mark.parametrize("entry", [
         vertex_im_width,
         arc_im_width,
-        activity_bounds,
+        lambda g: g.node_windows,
         lambda g: check_restless_path(g, TemporalPath(), 0, 0, 1),
-    ], ids=["vertex_im_width", "arc_im_width", "activity_bounds", "check_restless_path"])
+    ], ids=["vertex_im_width", "arc_im_width", "node_windows", "check_restless_path"])
     def test_rejects_out_of_range_node_ids(self, entry, arc):
         with pytest.raises(NodeRangeError):
             entry(point_graph(2, [arc]))

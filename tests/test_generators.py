@@ -17,7 +17,6 @@ from restless_reach import (
     solve_general,
     solve_unit,
     subset_sum_bruteforce,
-    underlying_graph,
     validate_cnf34,
     validate_interval_graph,
     validate_point_graph,
@@ -55,7 +54,7 @@ class TestSatGadget:
         assert len(inst.graph.arcs) == 10 * n + 2 + 6 * m
         assert inst.delta_max == 1
         assert inst.graph.uniform_delay_one
-        assert validate_point_graph(inst.graph).ok
+        assert validate_point_graph(inst.graph) == []
 
     def test_all_appearance_times_even_and_unique_per_arc(self):
         inst = gen_sat_instance(gen_random_34sat(3, seed=5))
@@ -63,7 +62,7 @@ class TestSatGadget:
         seen = {}
         for a in inst.graph.arcs:
             assert seen.setdefault((a.u, a.v), a.tau) == a.tau
-        assert len(seen) == len(underlying_graph(inst.graph).arcs)
+        assert len(seen) == len(set(zip(inst.graph.u, inst.graph.v)))
 
     def test_reachability_tracks_satisfiability(self):
         for seed in range(40):
@@ -125,7 +124,7 @@ class TestSubsetSumGadget:
             (2, 3, 6, 6, 1),
         ]
         assert (inst.s, inst.t, inst.delta_max) == (0, 3, 0)
-        assert validate_interval_graph(inst.graph).ok
+        assert validate_interval_graph(inst.graph) == []
 
     def test_extreme_arrivals_match_window_bounds(self):
         # The earliest/latest zero-wait arrival at each chain node equals
@@ -168,7 +167,7 @@ class TestLadder:
             assert g.n == 2 * k
             assert len(g.arcs) == 2 * k + 4 * (k - 1)
             assert g.uniform_delay_one
-            assert validate_point_graph(g).ok
+            assert validate_point_graph(g) == []
 
     def test_symmetric(self):
         g = gen_ladder(4)
@@ -177,7 +176,8 @@ class TestLadder:
 
     def test_underlying_four_cycles(self):
         k = 5
-        und = underlying_graph(gen_ladder(k)).arcs
+        g = gen_ladder(k)
+        und = set(zip(g.u, g.v))
         cycles = 0
         for i in range(k - 1):
             u0, u1, v0, v1 = i, i + 1, k + i, k + i + 1
@@ -225,7 +225,7 @@ class TestRandomGenerators:
         g = gen_random_point(5, 12, max_time=9, max_delay=0, seed=1)
         assert g.non_strict
         assert all(a.delta == 0 for a in g.arcs)
-        assert validate_point_graph(g).ok
+        assert validate_point_graph(g) == []
 
     def test_34_formula_deterministic_and_shaped(self):
         for n in (3, 6):

@@ -1,24 +1,48 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from restless_reach import (
+    Cnf34Formula,
     ParseError,
     SubsetSumInstance,
+    WaitBoundError,
     gen_ladder,
     gen_subset_sum_instance,
     interval_graph,
+    oracle_reachable,
+    oracle_traces,
     parse_dimacs_cnf,
     parse_graph,
     parse_graph_ex,
     point_graph,
+    retrieve_path,
     serialize_dimacs_cnf,
     serialize_graph,
+    solve_general,
+    solve_unit,
 )
 from restless_reach.cli import main
 
 from conftest import point_graph_strategy
+
+# Random token soups for the parsers: format keywords, integers of every
+# sign and size, spellings ``int`` reads but the formats refuse, and
+# arbitrary short text, joined by spaces, tabs and line breaks.  Some
+# start with a valid header, so the arc and clause lines are reached.
+SOUP_TOKENS = ["point", "interval", "nonstrict", "#", "label", "p", "cnf", "c",
+               "0", "1", "-1", "+2", "1_0", "\u0661", "\uff11", "-", "\u00e1"]
+soups = st.tuples(
+    st.sampled_from(["", "point 3\n", "point 3 nonstrict\n", "interval 3\n", "p cnf 3 2\n"]),
+    st.lists(st.tuples(
+        st.one_of(st.sampled_from(SOUP_TOKENS), st.integers(-3, 2**65).map(str),
+                  st.text(max_size=3)),
+        st.sampled_from([" ", " ", "\n", "\t", "\r\n"]),
+    ), max_size=30),
+).map(lambda drawn: drawn[0] + "".join(tok + sep for tok, sep in drawn[1]))
+
+clause_lists = st.lists(st.lists(st.integers(-40, 40).filter(bool), max_size=5), max_size=8)
 
 FOUR_NODE_TEXT = """point 4
 # label 0 s
@@ -137,6 +161,19 @@ class TestParsing:
         assert f.n == 3
         assert len(f.clauses) == 4
         assert parse_dimacs_cnf(serialize_dimacs_cnf(f)) == f
+
+    @given(st.integers(0, 40), clause_lists)
+    def test_dimacs_round_trip_random_clauses(self, n, clauses):
+        f = Cnf34Formula(n, clauses)
+        assert parse_dimacs_cnf(serialize_dimacs_cnf(f)) == f
+
+    @given(soups)
+    def test_token_soup_parses_or_raises_parse_error(self, text):
+        for parse in (parse_graph_ex, parse_dimacs_cnf):
+            try:
+                parse(text)
+            except ParseError:
+                pass
 
 
 class TestSolveCommand:
@@ -316,3 +353,33 @@ class TestBenchCommand:
         assert main(["bench", "random", "--sizes", "30", "--delta", "2",
                      "--seed", "5", "--max-delay", "3"]) == 0
         assert "time=" in capsys.readouterr().out
+
+
+class TestNegativeWaitBound:
+    """A negative wait bound is refused everywhere, never solved: with no
+    wait before the first arc, the solvers and the oracle disagreed."""
+
+    @pytest.mark.parametrize("entry", [
+        lambda g: solve_unit(g, 0, -1),
+        lambda g: solve_general(g, 0, -1),
+        lambda g: oracle_reachable(g, 0, -1),
+        lambda g: oracle_traces(g, 0, -1, 1, 2),
+        lambda g: retrieve_path(solve_unit(g, 0, 1, record_paths=True), g, 0, 2, -1),
+    ], ids=["solve_unit", "solve_general", "oracle_reachable", "oracle_traces",
+            "retrieve_path"])
+    def test_library_raises(self, entry):
+        with pytest.raises(WaitBoundError):
+            entry(point_graph(3, [(0, 1, 0), (1, 2, 1)]))
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{path}", "--source", "0", "--delta", "-1"],
+        ["check", "{path}", "--source", "0", "--delta", "-1"],
+        ["bench", "random", "--sizes", "30", "--delta", "-5"],
+    ], ids=["solve", "check", "bench"])
+    def test_cli_usage_exit(self, argv, tmp_path, capsys):
+        path = tmp_path / "ns.graph"
+        path.write_text("point 3 nonstrict\n0 1 0 0\n1 2 1 0\n")
+        assert main([arg.format(path=path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is negative" in captured.err

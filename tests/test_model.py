@@ -17,7 +17,6 @@ from restless_reach import (
     point_graph,
     retrieve_path,
     solve_general,
-    underlying_graph,
     validate_interval_graph,
     validate_point_graph,
 )
@@ -32,50 +31,35 @@ def path_of(*arcs):
 
 class TestValidation:
     def test_unsorted_arcs_reported(self):
-        g = PointTemporalGraph(
-            n=2, u=(0, 0), v=(1, 1), tau=(3, 1), delta=(1, 1),
-            lifetime=4,
-            uniform_delay_one=True,
-        )
-        report = validate_point_graph(g)
-        assert any("not sorted" in v for v in report.violations)
+        g = PointTemporalGraph(n=2, u=(0, 0), v=(1, 1), tau=(3, 1), delta=(1, 1))
+        assert any("not sorted" in v for v in validate_point_graph(g))
 
     def test_four_node_graph_valid(self, four_node_graph):
-        assert validate_point_graph(four_node_graph).ok
+        assert validate_point_graph(four_node_graph) == []
 
     def test_empty_graph_valid_with_zero_lifetime(self):
         g = point_graph(1, [])
-        assert validate_point_graph(g).ok
+        assert validate_point_graph(g) == []
         assert g.lifetime == 0
 
     def test_zero_delay_needs_non_strict_flag(self):
         g = point_graph(2, [(0, 1, 2, 0)])
-        assert any("zero delay" in v for v in validate_point_graph(g).violations)
+        assert any("zero delay" in v for v in validate_point_graph(g))
         ok = point_graph(2, [(0, 1, 2, 0)], non_strict=True)
-        assert validate_point_graph(ok).ok
+        assert validate_point_graph(ok) == []
 
     def test_out_of_range_node_reported(self):
         g = point_graph(2, [(0, 5, 1, 1)])
-        assert any("out of range" in v for v in validate_point_graph(g).violations)
+        assert any("out of range" in v for v in validate_point_graph(g))
 
     def test_overflowing_arrival_reported(self):
-        g = PointTemporalGraph(
-            n=2, u=(0,), v=(1,), tau=(MAX_TIME,), delta=(1,),
-            lifetime=MAX_TIME + 1,
-            uniform_delay_one=True,
-        )
-        assert any("overflow" in v for v in validate_point_graph(g).violations)
-
-    def test_inconsistent_flags_reported(self):
-        g = PointTemporalGraph(
-            n=2, u=(0,), v=(1,), tau=(1,), delta=(2,), lifetime=3, uniform_delay_one=True,
-        )
-        assert any("uniform_delay_one" in v for v in validate_point_graph(g).violations)
+        g = PointTemporalGraph(n=2, u=(0,), v=(1,), tau=(MAX_TIME,), delta=(1,))
+        assert any("overflow" in v for v in validate_point_graph(g))
 
     def test_interval_validation(self):
         g = interval_graph(2, [(0, 1, 4, 2, 1)])
-        assert any("end before start" in v for v in validate_interval_graph(g).violations)
-        assert validate_interval_graph(interval_graph(2, [(0, 1, 2, 4, 1)])).ok
+        assert any("end before start" in v for v in validate_interval_graph(g))
+        assert validate_interval_graph(interval_graph(2, [(0, 1, 2, 4, 1)])) == []
 
 
 class TestRestlessPathCheck:
@@ -174,14 +158,16 @@ class TestRestlessPathCheck:
 
 class TestUnderlyingGraph:
     def test_four_node_graph(self, four_node_graph):
-        assert underlying_graph(four_node_graph).arcs == {(S, U), (U, V), (U, T), (V, T)}
+        g = four_node_graph
+        assert set(zip(g.u, g.v)) == {(S, U), (U, V), (U, T), (V, T)}
 
     def test_empty(self):
-        assert underlying_graph(point_graph(3, [])).arcs == frozenset()
+        g = point_graph(3, [])
+        assert set(zip(g.u, g.v)) == set()
 
     def test_parallel_timed_arcs_collapse(self):
         g = point_graph(2, [(0, 1, 4, 2), (0, 1, 7, 5)])
-        assert underlying_graph(g).arcs == {(0, 1)}
+        assert set(zip(g.u, g.v)) == {(0, 1)}
 
 
 class TestExpansion:
@@ -209,7 +195,9 @@ class TestExpansion:
 
     def test_underlying_commutes_with_expansion(self):
         g = interval_graph(4, [(0, 1, 0, 3, 2), (1, 2, 5, 9, 1), (0, 1, 2, 6, 2)])
-        assert underlying_graph(expand_interval_to_point(g)) == underlying_graph(g)
+        expanded = expand_interval_to_point(g)
+        assert expanded.n == g.n
+        assert set(zip(expanded.u, expanded.v)) == {(a.u, a.v) for a in g.arcs}
 
     def test_lift_path_back_to_interval(self):
         g = interval_graph(3, [(0, 1, 0, 4, 2), (1, 2, 3, 8, 1)])

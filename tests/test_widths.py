@@ -2,8 +2,6 @@ from hypothesis import given, strategies as st
 
 from restless_reach import (
     SubsetSumInstance,
-    active_nodes_at,
-    activity_bounds,
     arc_im_width,
     expand_interval_to_point,
     gen_ladder,
@@ -11,7 +9,6 @@ from restless_reach import (
     gen_random_34sat,
     gen_sat_instance,
     gen_subset_sum_instance,
-    interval_activity_bounds,
     interval_graph,
     interval_vertex_im_width,
     point_graph,
@@ -26,43 +23,55 @@ from conftest import (
 )
 
 
+def window(g, x):
+    """Node ``x``'s activity window as ``(first departure, last arrival)``."""
+    node_min, node_max = g.node_windows
+    return None if node_min[x] is None else (node_min[x], node_max[x])
+
+
+def active_at(g, t):
+    """Nodes whose activity window contains ``t`` (closed interval)."""
+    node_min, node_max = g.node_windows
+    return {x for x, (lo, hi) in enumerate(zip(node_min, node_max))
+            if lo is not None and lo <= t <= hi}
+
+
 class TestActivityBounds:
     def test_four_node_graph_bounds(self, four_node_graph):
-        b = activity_bounds(four_node_graph)
-        assert b.node_interval(S) == (1, 2)
-        assert b.node_interval(U) == (1, 12)
-        assert b.node_interval(V) == (4, 12)
-        assert b.node_interval(T) == (5, 7)
+        g = four_node_graph
+        assert window(g, S) == (1, 2)
+        assert window(g, U) == (1, 12)
+        assert window(g, V) == (4, 12)
+        assert window(g, T) == (5, 7)
 
     def test_single_arc_bounds(self):
-        b = activity_bounds(point_graph(2, [(0, 1, 3, 2)]))
-        assert b.node_interval(0) == (3, 5)
-        assert b.node_interval(1) == (3, 5)
+        g = point_graph(2, [(0, 1, 3, 2)])
+        assert window(g, 0) == (3, 5)
+        assert window(g, 1) == (3, 5)
 
     def test_isolated_node_has_no_interval(self):
-        b = activity_bounds(point_graph(3, [(0, 1, 3, 2)]))
-        assert b.node_interval(2) is None
+        assert window(point_graph(3, [(0, 1, 3, 2)]), 2) is None
 
-    def test_arc_bounds_accumulate_over_parallel_arcs(self, four_node_graph):
-        b = activity_bounds(four_node_graph)
-        assert (b.arc_min[(U, V)], b.arc_max[(U, V)]) == (4, 12)
+    def test_arc_bounds_accumulate_over_parallel_arcs(self):
+        # (0, 1) is active over [1, 10] only once its two timed arcs'
+        # windows [1, 2] and [9, 10] merge; then it overlaps (2, 3).
+        g = point_graph(4, [(0, 1, 1, 1), (0, 1, 9, 1), (2, 3, 5, 1)])
+        assert arc_im_width(g) == 2
+        assert arc_im_width(point_graph(4, [(0, 1, 1, 1), (2, 3, 5, 1)])) == 1
 
 
 class TestActiveNodes:
     def test_four_node_graph_midlife(self, four_node_graph):
-        b = activity_bounds(four_node_graph)
-        assert active_nodes_at(b, 5) == {U, V, T}
+        assert active_at(four_node_graph, 5) == {U, V, T}
 
     def test_before_first_appearance_empty(self, four_node_graph):
-        b = activity_bounds(four_node_graph)
-        assert active_nodes_at(b, 0) == set()
+        assert active_at(four_node_graph, 0) == set()
 
     def test_ladder_last_step(self):
         # At time 2(k-1)+1 the last rail arcs are still in flight, so both
         # the final layer and the one before it are active.
         k = 5
-        b = activity_bounds(gen_ladder(k))
-        assert active_nodes_at(b, 2 * (k - 1) + 1) == {k - 2, k - 1, 2 * k - 2, 2 * k - 1}
+        assert active_at(gen_ladder(k), 2 * (k - 1) + 1) == {k - 2, k - 1, 2 * k - 2, 2 * k - 1}
 
 
 class TestVertexWidth:
@@ -126,9 +135,13 @@ class TestIntervalWidth:
         assert interval_vertex_im_width(g) == 3
 
     def test_interval_bounds(self):
-        b = interval_activity_bounds(interval_graph(2, [(0, 1, 2, 9, 3)]))
-        assert b.node_interval(0) == (2, 12)
-        assert b.node_interval(1) == (2, 12)
+        # Nodes 0 and 1 are active over [2, 12]: from the window start to
+        # the window end plus delay.  A second pair of nodes overlaps them
+        # exactly when its own window reaches into that range.
+        arc = (0, 1, 2, 9, 3)
+        for other, width in [((2, 3, 12, 12, 1), 4), ((2, 3, 13, 13, 1), 2),
+                             ((2, 3, 0, 0, 2), 4), ((2, 3, 0, 0, 1), 2)]:
+            assert interval_vertex_im_width(interval_graph(4, [arc, other])) == width
 
 
 @given(point_graph_strategy(max_tau=300))
